@@ -14,3 +14,8 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
+
+
+class Uncertified(RuntimeError):
+    """A computation did not reach its certified accuracy (convergence,
+    tail, conditioning or quadrature checks); the CLI exits 3 on it."""

@@ -2,8 +2,8 @@
 
 Counter-based Philox streams keyed by (operation, parameters, seed), so a
 given job is bit-reproducible regardless of evaluation order, and shards
-can run independently and merge deterministically.  Reductions use
-math.fsum over shard partials.
+can run independently and merge deterministically.  Monte Carlo batch
+statistics are merged in a fixed order; quadrature partials use math.fsum.
 """
 
 from __future__ import annotations
@@ -32,23 +32,23 @@ def mc_mean(
     """Mean and standard error of f over the unit cube [0,1]^dim.
 
     ``f`` maps an (m, dim) array to an (m,) array.  Returns
-    (mean, std_error, n_used).
+    (mean, std_error, n_used).  Each batch contributes its count, mean and
+    sum of squared deviations M2, merged in batch order with the pairwise
+    update of Chan, Golub and LeVeque, so a large mean does not cancel the
+    variance away.
     """
-    sums = []
-    sq_sums = []
-    n_done = 0
+    n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < samples:
         m = min(batch, samples - n_done)
-        pts = rng.random((m, dim))
-        vals = f(pts)
-        sums.append(float(np.sum(vals)))
-        sq_sums.append(float(np.sum(vals * vals)))
-        n_done += m
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0)
-    std_err = math.sqrt(var / n_done)
+        vals = f(rng.random((m, dim)))
+        b_mean = float(np.mean(vals))
+        b_m2 = float(np.sum((vals - b_mean) ** 2))
+        n_new = n_done + m
+        delta = b_mean - mean
+        mean += delta * m / n_new
+        m2 += b_m2 + delta * delta * n_done * m / n_new
+        n_done = n_new
+    std_err = math.sqrt(m2 / n_done / n_done)
     return mean, std_err, n_done
 
 

@@ -2,7 +2,8 @@
 reproducible batch job.
 
 Exit codes: 0 all checks passed / value computed, 1 a verification reported
-a mismatch, 2 usage or input error.  Output formats: json (schema-stable,
+a mismatch, 2 usage or input error, 3 a computation did not reach its
+certified accuracy.  Output formats: json (schema-stable,
 rationals as "num/den" strings, sorted keys), csv (traces), plain.  With a
 fixed --seed, exact jobs are byte-identical across runs and stochastic jobs
 are identical too (counter-based streams); --no-meta strips the run
@@ -20,7 +21,13 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import Uncertified, __version__
+
+_EXIT_CODES = (
+    "exit codes: 0 computed / all checks passed, 1 a verification reported a "
+    "mismatch, 2 usage or input error, 3 a computation did not reach its "
+    "certified accuracy"
+)
 
 _BUDGETS = {
     # knobs: series order, q-exponent bound, MC samples, eigenbasis, primes
@@ -273,7 +280,6 @@ def _cmd_ncho_spectrum(args):
     p = specval.NchoParams(args.alpha, args.beta)
     spec = spectra.ncho_eigs(
         p, N=args.n_basis, count=args.count, threshold=args.threshold,
-        use_disk_cache=not args.no_cache,
     )
     out = spec.to_dict()
     out["bounds_ok"] = spectra.ncho_eigen_bounds_ok(spec)
@@ -286,7 +292,6 @@ def _cmd_qrm_spectrum(args):
     q = spectra.QrmParams(args.g, args.delta, args.eps)
     spec = spectra.qrm_eigs(
         q, N=args.n_basis, count=args.count, threshold=args.threshold,
-        use_disk_cache=not args.no_cache,
     )
     return spec.to_dict(), True
 
@@ -300,13 +305,11 @@ def _cmd_partition(args):
         spec = spectra.ncho_eigs(
             specval.NchoParams(args.alpha, args.beta),
             N=args.n_basis, count=args.count, threshold=args.threshold,
-            use_disk_cache=not args.no_cache,
         )
     else:
         spec = spectra.qrm_eigs(
             spectra.QrmParams(args.g, args.delta, args.eps),
             N=args.n_basis, count=args.count, threshold=args.threshold,
-            use_disk_cache=not args.no_cache,
         )
     value, half = spectra.partition_from_spectrum(spec, args.t, tail=args.tail)
     return {
@@ -342,7 +345,6 @@ def _cmd_heat_fit(args):
     p = specval.NchoParams(args.alpha, args.beta)
     spec = spectra.ncho_eigs(
         p, N=args.n_basis, count=args.count, threshold=args.threshold,
-        use_disk_cache=not args.no_cache,
     )
     Z = spectra.partition_callable(spec)
     grid = np.linspace(args.t_min, args.t_max, args.points)
@@ -369,7 +371,6 @@ def _cmd_mellin_zeta(args):
         q = spectra.QrmParams(args.g, args.delta, args.eps)
         spec = spectra.qrm_eigs(
             q, N=args.n_basis, count=args.count, threshold=1e-3,
-            use_disk_cache=not args.no_cache,
         )
         Z = spectra.partition_callable(spec)
         rb1 = spectra.rabi_bernoulli_exact(1)
@@ -620,12 +621,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zetaforge",
         description="verification workbench for oscillator-model spectral zeta functions",
+        epilog=_EXIT_CODES,
         allow_abbrev=False,
     )
     ap.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     ap.add_argument("--seed", type=int, default=0, help="base seed for stochastic jobs")
     ap.add_argument("--no-meta", action="store_true", help="omit version/timestamp block")
-    ap.add_argument("--no-cache", action="store_true", help="bypass the spectrum disk cache")
 
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from overwriting values already parsed at the top level
@@ -634,7 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--no-meta", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--no-cache", action="store_true", default=argparse.SUPPRESS)
 
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
@@ -798,6 +798,9 @@ def run(argv=None) -> int:
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Uncertified as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     emit(report, args.format, meta=not args.no_meta)
     return 0 if ok else 1
 

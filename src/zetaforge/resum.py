@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from scipy import integrate
 
+from . import Uncertified
 from .exact import bernoulli_number
 from .specval import hurwitz_zeta_num
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(Uncertified):
     """Laplace quadrature failed to converge."""
 
 

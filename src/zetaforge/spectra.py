@@ -7,32 +7,34 @@ brackets, nested-integral partition series, heat-trace asymptotic fits,
 quasi-partition functions, Mellin-transform spectral zeta numerics, and the
 Rabi-Bernoulli polynomial family (exact table for k <= 2, fitted beyond).
 
-Eigen-truncations are variational: every reported eigenvalue carries the
-|lambda_N - lambda_{N/2}| convergence estimate, and results can be cached
-on disk keyed by (model, params, N).
+Both models conserve a Z2 parity, so each truncation splits into sectors
+that are solved in band storage: four tridiagonal chains of size about N/2
+for the oscillator, two chains of size N for the symmetric Rabi model, and
+one band of half-width 2 when a bias breaks the parity.  Each solve is cheap
+enough to run every time; nothing is cached.  Eigen-truncations are
+variational: every reported eigenvalue carries the |lambda_N - lambda_{N/2}|
+convergence estimate.  The dense ``*_truncated_matrix`` builders remain as
+the small-N reference the sectors are tested against.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded
 
-from . import _mc
+from . import Uncertified, _mc
 from .exact import hurwitz_zeta_nonpos
 from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
 
 __all__ = [
     "NotConverged",
+    "BoundsViolated",
     "TailDominates",
     "IllConditioned",
     "FitUnstable",
@@ -58,23 +60,26 @@ __all__ = [
     "rabi_bernoulli_exact",
     "rabi_bernoulli_numeric",
     "derivative_relation_check",
-    "cache_dir",
 ]
 
 
-class NotConverged(RuntimeError):
+class NotConverged(Uncertified):
     """Truncation convergence estimates exceed the caller's threshold."""
 
 
-class TailDominates(RuntimeError):
+class BoundsViolated(Uncertified):
+    """Converged eigenvalues fall outside their proved two-sided bounds."""
+
+
+class TailDominates(Uncertified):
     """Tail bracket half-width exceeds 10% of the partition value."""
 
 
-class IllConditioned(RuntimeError):
+class IllConditioned(Uncertified):
     """Heat-trace design matrix is numerically rank deficient."""
 
 
-class FitUnstable(RuntimeError):
+class FitUnstable(Uncertified):
     """Taylor-coefficient fit failed its stability checks."""
 
 
@@ -140,59 +145,6 @@ class HeatTraceFit:
 
 
 # ---------------------------------------------------------------------------
-# spectrum cache
-# ---------------------------------------------------------------------------
-
-_CACHE_VERSION = 1
-_memory_cache: dict = {}
-
-
-def cache_dir() -> Path:
-    base = os.environ.get("ZETAFORGE_CACHE_DIR")
-    if base:
-        return Path(base)
-    return Path.home() / ".cache" / "zetaforge"
-
-
-def _cache_key(model: str, params: dict, N: int, count: int) -> str:
-    msg = json.dumps(
-        {"model": model, "params": params, "N": N, "count": count}, sort_keys=True
-    )
-    return hashlib.sha256(msg.encode()).hexdigest()[:24]
-
-
-def _cache_load(key: str, use_disk: bool) -> Optional[dict]:
-    if key in _memory_cache:
-        return _memory_cache[key]
-    if not use_disk:
-        return None
-    path = cache_dir() / f"{key}.json"
-    if path.exists():
-        try:
-            rec = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if rec.get("version") == _CACHE_VERSION:
-            _memory_cache[key] = rec
-            return rec
-    return None
-
-
-def _cache_store(key: str, rec: dict, use_disk: bool) -> None:
-    _memory_cache[key] = rec
-    if not use_disk:
-        return
-    try:
-        d = cache_dir()
-        d.mkdir(parents=True, exist_ok=True)
-        tmp = d / f"{key}.tmp"
-        tmp.write_text(json.dumps(rec))
-        tmp.replace(d / f"{key}.json")
-    except OSError:
-        pass  # cache is best-effort
-
-
-# ---------------------------------------------------------------------------
 # matrices and eigenvalues
 # ---------------------------------------------------------------------------
 
@@ -212,7 +164,8 @@ def ncho_truncated_matrix(params: NchoParams, N: int) -> np.ndarray:
 
     Diagonal blocks (n + 1/2) diag(alpha, beta); off-diagonal part
     J (x) (a^2 - a+^2)/2 with J = [[0, -1], [1, 0]].  The result is
-    symmetric (product of two antisymmetric factors).
+    symmetric (product of two antisymmetric factors).  Dense reference for
+    small N; the solvers use the parity sectors below.
     """
     if N < 4:
         raise ValueError("need N >= 4")
@@ -228,7 +181,8 @@ def ncho_truncated_matrix(params: NchoParams, N: int) -> np.ndarray:
 
 
 def qrm_truncated_matrix(params: QrmParams, N: int) -> np.ndarray:
-    """2N x 2N Fock truncation of a+a + Delta sz + (g (a + a+) + eps) sx."""
+    """2N x 2N Fock truncation of a+a + Delta sz + (g (a + a+) + eps) sx.
+    Dense reference for small N; the solvers use the sectors below."""
     if N < 4:
         raise ValueError("need N >= 4")
     H = np.zeros((2 * N, 2 * N))
@@ -245,20 +199,90 @@ def qrm_truncated_matrix(params: QrmParams, N: int) -> np.ndarray:
     return H
 
 
-def _lowest_eigs(H: np.ndarray, count: int) -> np.ndarray:
-    return eigh(
-        H, eigvals_only=True, subset_by_index=(0, count - 1), driver="evr"
-    )
+def _chain(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Lower band storage of a symmetric tridiagonal block."""
+    band = np.zeros((2, len(diag)))
+    band[0] = diag
+    band[1, :-1] = off
+    return band
 
 
-def _eigs_with_convergence(
-    build: Callable[[int], np.ndarray], N: int, count: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _ncho_sectors(params: NchoParams, N: int) -> list:
+    """The truncation n < N as four tridiagonal parity chains.
+
+    The coupling J (x) (a^2 - a+^2)/2 links (n, spin) only to
+    (n +/- 2, 1 - spin), so a chain starts at n0 in {0, 1} with spin s0 and
+    alternates spin while n steps by two.  Off-diagonal signs are dropped:
+    they change no eigenvalue of a tridiagonal matrix.
+    """
+    if N < 4:
+        raise ValueError("need N >= 4")
+    chains = []
+    for n0 in (0, 1):
+        n = np.arange(n0, N, 2, dtype=float)
+        off = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+        for s0 in (0, 1):
+            spin = (s0 + np.arange(len(n))) % 2
+            slope = np.where(spin == 0, params.alpha, params.beta)
+            chains.append(_chain(slope * (n + 0.5), off))
+    return chains
+
+
+def _qrm_sectors(params: QrmParams, N: int) -> list:
+    """The truncation n < N as two parity chains, or one band when a bias
+    breaks the parity.
+
+    g (a + a+) sx links (n, spin) only to (n +/- 1, 1 - spin): two chains
+    of size N, distinguished by the spin at n = 0.  The bias eps sx also
+    links (n, 0) to (n, 1), rung n of one chain to rung n of the other, so
+    interleaving the chains rung by rung gives one band of half-width 2.
+    """
+    if N < 4:
+        raise ValueError("need N >= 4")
+    n = np.arange(N, dtype=float)
+    off = params.g * np.sqrt(n[1:])
+    diags = [n + np.where((s0 + n) % 2 == 0, params.delta, -params.delta) for s0 in (0, 1)]
+    if params.eps == 0.0:
+        return [_chain(d, off) for d in diags]
+    band = np.zeros((3, 2 * N))
+    band[0, 0::2], band[0, 1::2] = diags
+    band[1, 0::2] = params.eps
+    band[2, 0:-2:2] = off
+    band[2, 1:-2:2] = off
+    return [band]
+
+
+def _lowest(blocks: list, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the block-diagonal matrix whose
+    blocks are given in lower band storage."""
+    vals = [
+        eig_banded(
+            b, lower=True, eigvals_only=True, select="i",
+            select_range=(0, min(count, b.shape[1]) - 1),
+        )
+        for b in blocks
+    ]
+    return np.sort(np.concatenate(vals))[:count]
+
+
+def _solve(model: str, params, sectors: Callable, N: int, count: int,
+           threshold: float) -> SpectrumResult:
+    """Solve at N and N/2, certify convergence, and wrap the result."""
     if count > N:
         raise ValueError("count must not exceed N (half the truncated matrix)")
-    full = _lowest_eigs(build(N), count)
-    half = _lowest_eigs(build(N // 2), count)
-    return full, np.abs(full - half)
+    full = _lowest(sectors(params, N), count)
+    conv = np.abs(full - _lowest(sectors(params, N // 2), count))
+    if conv.max() > threshold:
+        raise NotConverged(
+            f"max convergence estimate {conv.max():.3e} exceeds {threshold:.3e}"
+        )
+    return SpectrumResult(
+        eigenvalues=full.tolist(),
+        model=model,
+        params=params.as_dict(),
+        truncation_N=N,
+        convergence=conv.tolist(),
+    )
 
 
 def ncho_eigs(
@@ -266,39 +290,15 @@ def ncho_eigs(
     N: int = 1024,
     count: int = 40,
     threshold: float = 1e-8,
-    use_disk_cache: bool = True,
 ) -> SpectrumResult:
     """Lowest eigenvalues of the matrix-oscillator truncation with
     N-versus-N/2 convergence estimates.  Raises NotConverged when any
-    estimate exceeds the threshold."""
-    key = _cache_key("ncho", params.as_dict(), N, count)
-    rec = _cache_load(key, use_disk_cache)
-    if rec is None:
-        vals, conv = _eigs_with_convergence(
-            lambda n: ncho_truncated_matrix(params, n), N, count
-        )
-        rec = {
-            "version": _CACHE_VERSION,
-            "eigenvalues": [float(v) for v in vals],
-            "convergence": [float(c) for c in conv],
-        }
-        _cache_store(key, rec, use_disk_cache)
-    conv = rec["convergence"]
-    if max(conv) > threshold:
-        raise NotConverged(
-            f"max convergence estimate {max(conv):.3e} exceeds {threshold:.3e}"
-        )
-    out = SpectrumResult(
-        eigenvalues=rec["eigenvalues"],
-        model="ncho",
-        params=params.as_dict(),
-        truncation_N=N,
-        convergence=conv,
-    )
-    # contract: every reported eigenvalue obeys the two-sided pair bounds
-    # (slack of a couple of convergence units for not-yet-tight values)
+    estimate exceeds the threshold, and BoundsViolated when a converged
+    eigenvalue leaves its two-sided pair bounds."""
+    out = _solve("ncho", params, _ncho_sectors, N, count, threshold)
+    # slack of a couple of convergence units for not-yet-tight values
     if not ncho_eigen_bounds_ok(out, slack=max(1e-9, 2.0 * threshold)):
-        raise RuntimeError("converged eigenvalues violate the pair bounds")
+        raise BoundsViolated("converged eigenvalues violate the pair bounds")
     return out
 
 
@@ -307,33 +307,10 @@ def qrm_eigs(
     N: int = 512,
     count: int = 40,
     threshold: float = 1e-8,
-    use_disk_cache: bool = True,
 ) -> SpectrumResult:
-    """Lowest eigenvalues of the Rabi-model Fock truncation (bias included)."""
-    key = _cache_key("qrm", params.as_dict(), N, count)
-    rec = _cache_load(key, use_disk_cache)
-    if rec is None:
-        vals, conv = _eigs_with_convergence(
-            lambda n: qrm_truncated_matrix(params, n), N, count
-        )
-        rec = {
-            "version": _CACHE_VERSION,
-            "eigenvalues": [float(v) for v in vals],
-            "convergence": [float(c) for c in conv],
-        }
-        _cache_store(key, rec, use_disk_cache)
-    conv = rec["convergence"]
-    if max(conv) > threshold:
-        raise NotConverged(
-            f"max convergence estimate {max(conv):.3e} exceeds {threshold:.3e}"
-        )
-    return SpectrumResult(
-        eigenvalues=rec["eigenvalues"],
-        model="qrm",
-        params=params.as_dict(),
-        truncation_N=N,
-        convergence=conv,
-    )
+    """Lowest eigenvalues of the Rabi-model Fock truncation (bias included)
+    with N-versus-N/2 convergence estimates."""
+    return _solve("qrm", params, _qrm_sectors, N, count, threshold)
 
 
 def qho_spectrum(count: int, frequency: float = 1.0) -> SpectrumResult:
@@ -374,38 +351,40 @@ def ncho_eigen_bounds_ok(spec: SpectrumResult, slack: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _geom_tail(t: float, first: float, gap: float) -> float:
-    """sum_{m>=0} e^{-t(first + m*gap)}."""
-    return math.exp(-t * first) / -math.expm1(-t * gap)
+def _geom_tail(t: float, mult: int, first: float, gap: float) -> float:
+    """mult * sum_{m>=0} e^{-t(first + m*gap)}."""
+    return mult * math.exp(-t * first) / -math.expm1(-t * gap)
+
+
+def _comparison_spectrum(spec: SpectrumResult) -> Tuple[tuple, tuple]:
+    """Two arithmetic progressions (multiplicity, first value, gap) that
+    bound the not-computed eigenvalues term by term, from below and from
+    above, by the model's two-sided eigenvalue bounds."""
+    n = len(spec.eigenvalues)
+    if spec.model == "qho":
+        w = spec.params["frequency"]
+        exact = (1, w * (n + 0.5), w)
+        return exact, exact
+    if spec.model not in ("ncho", "qrm"):
+        raise ValueError(f"unknown model {spec.model!r}")
+    if n % 2 != 0:
+        raise ValueError("tail bracket expects an even eigenvalue count")
+    if spec.model == "ncho":
+        p = NchoParams(spec.params["alpha"], spec.params["beta"])
+        lo, hi = _ncho_slope_bounds(p)
+        j0 = n // 2 + 1  # first pair not computed
+        return (2, lo * (j0 - 0.5), lo), (2, hi * (j0 - 0.5), hi)
+    g2 = spec.params["g"] ** 2
+    d = spec.params["delta"] + abs(spec.params.get("eps", 0.0))
+    m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
+    return (2, m0 - g2 - d, 1.0), (2, m0 - g2 + d, 1.0)
 
 
 def _tail_bracket(spec: SpectrumResult, t: float) -> Tuple[float, float]:
     """(lower, upper) bounds on sum over the not-computed part of the
-    spectrum, from the model's two-sided eigenvalue bounds."""
-    n = len(spec.eigenvalues)
-    if spec.model == "qho":
-        w = spec.params["frequency"]
-        exact = _geom_tail(t, w * (n + 0.5), w)
-        return exact, exact
-    if spec.model == "ncho":
-        if n % 2 != 0:
-            raise ValueError("tail bracket expects an even eigenvalue count")
-        p = NchoParams(spec.params["alpha"], spec.params["beta"])
-        lo, hi = _ncho_slope_bounds(p)
-        j0 = n // 2 + 1  # first pair not computed
-        upper = 2.0 * _geom_tail(t, lo * (j0 - 0.5), lo)
-        lower = 2.0 * _geom_tail(t, hi * (j0 - 0.5), hi)
-        return lower, upper
-    if spec.model == "qrm":
-        if n % 2 != 0:
-            raise ValueError("tail bracket expects an even eigenvalue count")
-        g2 = spec.params["g"] ** 2
-        d = spec.params["delta"] + abs(spec.params.get("eps", 0.0))
-        m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
-        upper = 2.0 * _geom_tail(t, m0 - g2 - d, 1.0)
-        lower = 2.0 * _geom_tail(t, m0 - g2 + d, 1.0)
-        return lower, upper
-    raise ValueError(f"unknown model {spec.model!r}")
+    spectrum: the comparison progressions summed as geometric series."""
+    below, above = _comparison_spectrum(spec)
+    return _geom_tail(t, *above), _geom_tail(t, *below)
 
 
 def partition_from_spectrum(
@@ -687,30 +666,14 @@ def spectral_zeta_direct(
     """sum_j (lambda_j + tau)^{-s} over the computed spectrum plus the
     two-sided tail bracket; returns (midpoint, half_width)."""
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
-    lo_hi = []
-    n = len(spec.eigenvalues)
-    if spec.model == "qho":
-        w = spec.params["frequency"]
-        exact = w**-s * float(hurwitz_zeta_num(s, (tau / w) + n + 0.5))
-        lo_hi = [exact, exact]
-    elif spec.model == "ncho":
-        p = NchoParams(spec.params["alpha"], spec.params["beta"])
-        lo, hi = _ncho_slope_bounds(p)
-        j0 = n // 2 + 1
-        upper = 2.0 * lo**-s * float(hurwitz_zeta_num(s, (tau / lo) + j0 - 0.5))
-        lower = 2.0 * hi**-s * float(hurwitz_zeta_num(s, (tau / hi) + j0 - 0.5))
-        lo_hi = [lower, upper]
-    elif spec.model == "qrm":
-        g2 = spec.params["g"] ** 2
-        d = spec.params["delta"] + abs(spec.params.get("eps", 0.0))
-        m0 = n // 2
-        upper = 2.0 * float(hurwitz_zeta_num(s, m0 - g2 - d + tau))
-        lower = 2.0 * float(hurwitz_zeta_num(s, m0 - g2 + d + tau))
-        lo_hi = [lower, upper]
-    else:
-        raise ValueError(f"unknown model {spec.model!r}")
-    value = head + 0.5 * (lo_hi[0] + lo_hi[1])
-    return value, 0.5 * abs(lo_hi[1] - lo_hi[0])
+    below, above = _comparison_spectrum(spec)
+
+    def zeta_tail(mult: int, first: float, gap: float) -> float:
+        # mult * sum_{m>=0} (first + m*gap + tau)^{-s}
+        return mult * gap**-s * float(hurwitz_zeta_num(s, (first + tau) / gap))
+
+    lower, upper = zeta_tail(*above), zeta_tail(*below)
+    return head + 0.5 * (lower + upper), 0.5 * abs(upper - lower)
 
 
 # ---------------------------------------------------------------------------

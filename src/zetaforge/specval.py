@@ -191,8 +191,12 @@ def _hz_half(k: int) -> float:
 
 
 def r_k1_series(k: int, kappa: float, n_max: int) -> Tuple[float, float]:
-    """R_{k,1}(kappa) = sum_n C(-1/2,n) J_k(n) kappa^{2n}, truncated partial
-    sum for 0 <= kappa < 1.  Returns (value, |last term|) as an error proxy.
+    """R_{k,1}(kappa) = (k/2) sum_n C(-1/2,n) J_k(n) kappa^{2n}, truncated
+    partial sum for 0 <= kappa < 1.  Returns (value, |last term|) as an
+    error proxy.
+
+    The factor k/2 matches the cube integral ``r_kj_quadrature(k, 1, .)``:
+    J_k(0) = (k-1) zeta(k,1/2) while R_{k,1}(0) = C(k,2) zeta(k,1/2).
     """
     from .aperynum import aperylike_J
 
@@ -219,7 +223,8 @@ def r_k1_series(k: int, kappa: float, n_max: int) -> Tuple[float, float]:
         total += term
         last = abs(term)
         kpow *= k2
-    return total, last
+    scale = k / 2
+    return scale * total, scale * last
 
 
 def _w_factors(k: int, j: int) -> Sequence[Tuple[float, Sequence[Sequence[int]]]]:

@@ -142,6 +142,24 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.run(["--help"]) == 0
 
+    def test_uncertified_result_exits_three(self, capsys):
+        # N = 64 is far too small for alpha * beta = 1.2: the N-versus-N/2
+        # certificate fails, which is reported, not raised
+        code = cli.run([
+            "--no-meta", "ncho-spectrum", "--alpha", "1.2", "--beta", "1.0",
+            "--n-basis", "64", "--count", "40",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: NotConverged: max convergence estimate")
+        assert "Traceback" not in captured.err
+
+    def test_help_documents_exit_codes(self, capsys):
+        cli.run(["--help"])
+        epilog = " ".join(capsys.readouterr().out.split())
+        assert "3 a computation did not reach its certified accuracy" in epilog
+
 
 class TestFlagsAfterSubcommand:
     def test_format_after(self):

@@ -2,7 +2,8 @@
 functions and the Rabi-Bernoulli family.
 
 Truncation sizes stay modest here (the acceptance suite runs the full-size
-configurations); eigen-decompositions are cached on disk between runs.
+configurations).  Every spectrum is solved afresh from its parity sectors;
+the dense truncation matrices are the small-N reference.
 """
 
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from zetaforge import spectra, specval
 from zetaforge.exact import bernoulli_poly
@@ -69,6 +71,72 @@ class TestMatrices:
         assert H[2, 2] == 3.0 * 1.5 and H[3, 3] == 2.0 * 1.5
 
 
+SECTOR_CASES = [
+    ("ncho", NchoParams(SQRT2, SQRT2)),
+    ("ncho", NchoParams(2.0, 1.0)),
+    ("ncho", NchoParams(1.2, 1.0)),
+    ("qrm", QrmParams(0.0, 0.5)),
+    ("qrm", QrmParams(0.5, 0.0)),
+    ("qrm", QrmParams(0.4, 0.7)),
+    ("qrm", QrmParams(0.4, 0.7, eps=0.3)),
+]
+
+
+class TestSectorSolver:
+    @pytest.mark.parametrize("N", [16, 64, 127])
+    @pytest.mark.parametrize("model,params", SECTOR_CASES)
+    def test_matches_dense_reference(self, model, params, N):
+        # the lowest N eigenvalues: as many as the solvers may return
+        if model == "ncho":
+            sectors, dense = spectra._ncho_sectors(params, N), ncho_truncated_matrix(params, N)
+        else:
+            sectors, dense = spectra._qrm_sectors(params, N), qrm_truncated_matrix(params, N)
+        assert sum(b.shape[1] for b in sectors) == dense.shape[0]
+        ref = eigh(dense, eigvals_only=True, subset_by_index=(0, N - 1))
+        assert np.max(np.abs(spectra._lowest(sectors, N) - ref)) <= 1e-12
+
+    def test_sector_shapes(self):
+        assert [b.shape for b in spectra._ncho_sectors(NchoParams(2.0, 1.0), 9)] == [(2, 5)] * 2 + [(2, 4)] * 2
+        assert [b.shape for b in spectra._qrm_sectors(QrmParams(0.4, 0.7), 9)] == [(2, 9)] * 2
+        assert [b.shape for b in spectra._qrm_sectors(QrmParams(0.4, 0.7, 0.3), 9)] == [(3, 18)]
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: ncho_eigs(NchoParams(2.0, 1.0), N=128, count=10, threshold=1e-6),
+            lambda: qrm_eigs(QrmParams(0.3, 0.5), N=128, count=10),
+        ],
+        ids=["ncho", "qrm"],
+    )
+    def test_mutating_a_result_does_not_leak(self, solve):
+        first = solve()
+        ground = first.eigenvalues[0]
+        first.eigenvalues[0] = 999.0
+        first.convergence[0] = 999.0
+        again = solve()
+        assert again.eigenvalues[0] == ground and again.convergence[0] < 1e-6
+
+
+class TestDeepBounds:
+    """Proved eigenvalue bounds checked against deep truncations (N = 4096)."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("delta,eps", [(0.3, 0.0), (1.2, 0.0), (0.7, 0.4)])
+    def test_qrm_pair_bracket(self, g, delta, eps):
+        # pair m of a+a + g (a + a+) sx sits at m - g^2; the remaining terms
+        # have norm at most d = delta + |eps|
+        spec = qrm_eigs(QrmParams(g, delta, eps), N=4096, count=40)
+        d = delta + abs(eps)
+        for i, lam in enumerate(spec.eigenvalues):
+            m = i // 2
+            assert m - g * g - d - 1e-9 <= lam <= m - g * g + d + 1e-9, (i, lam)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.1, 1.1), (2.0, 0.6), (3.0, 1.5)])
+    def test_ncho_pair_bounds(self, alpha, beta):
+        spec = ncho_eigs(NchoParams(alpha, beta), N=4096, count=40, threshold=1e-8)
+        assert ncho_eigen_bounds_ok(spec, slack=1e-9)
+
+
 class TestNchoEigs:
     def test_equal_parameters_exact_spectrum(self):
         spec = ncho_eigs(NchoParams(SQRT2, SQRT2), N=256, count=20, threshold=1e-8)
@@ -91,8 +159,8 @@ class TestNchoEigs:
 
     def test_variational_monotonicity(self):
         p = NchoParams(2.5, 0.6)
-        lowN = spectra._lowest_eigs(ncho_truncated_matrix(p, 64), 20)
-        highN = spectra._lowest_eigs(ncho_truncated_matrix(p, 128), 20)
+        lowN = spectra._lowest(spectra._ncho_sectors(p, 64), 20)
+        highN = spectra._lowest(spectra._ncho_sectors(p, 128), 20)
         assert np.all(highN <= lowN + 1e-12)
 
     def test_weyl_slope(self):
@@ -108,15 +176,7 @@ class TestNchoEigs:
 
     def test_not_converged_raises(self):
         with pytest.raises(NotConverged):
-            ncho_eigs(NchoParams(2.0, 1.0), N=64, count=60, threshold=1e-12,
-                      use_disk_cache=False)
-
-    def test_disk_cache_roundtrip(self, cache_dir):
-        p = NchoParams(1.9, 1.1)
-        a = ncho_eigs(p, N=128, count=10, threshold=1e-6)
-        b = ncho_eigs(p, N=128, count=10, threshold=1e-6)
-        assert a.eigenvalues == b.eigenvalues
-        assert any(cache_dir.glob("*.json"))
+            ncho_eigs(NchoParams(2.0, 1.0), N=64, count=60, threshold=1e-12)
 
 
 class TestQrmEigs:

@@ -113,7 +113,17 @@ class TestRk1Series:
         v, last = r_k1_series(2, 0.0, 5)
         assert abs(v - PI**2 / 2) < 1e-12
         v3, _ = r_k1_series(3, 0.0, 5)
-        assert abs(v3 - 2 * hurwitz_zeta_num(3, 0.5)) < 1e-12
+        assert abs(v3 - 3 * hurwitz_zeta_num(3, 0.5)) < 1e-12
+        v4, _ = r_k1_series(4, 0.0, 5)
+        assert abs(v4 - 6 * hurwitz_zeta_num(4, 0.5)) < 1e-10
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_cube_integral_cross_route(self, k):
+        # same R_{k,1}(kappa) by the series and by the displayed cube integral
+        v, last = r_k1_series(k, 0.3, 30)
+        q = r_kj_quadrature(k, 1, 0.3, budget=1_000_000, seed=0)
+        assert last < 1e-12
+        assert abs(v - q.value) <= 3 * q.std_error, (v, q.value, q.std_error)
 
     def test_closed_form_cross_oracle(self):
         # R_{2,1}(kappa) = (pi^2/2) F(-kappa^2)^2 with F = 2F1(1/4,3/4;1;.)
