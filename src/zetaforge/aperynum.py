@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .exact import (
     DenominatorNotInvertible,
     Rat,
-    binom_general,
     padic_valuation,
     rational_mod_prime_power,
 )
@@ -48,6 +47,7 @@ __all__ = [
     "aperylike_J",
     "aperylike_tJ",
     "tj_table",
+    "j_table",
     "congruence_pary_product",
     "supercongruence_check",
     "tj_supercongruence_check",
@@ -265,9 +265,15 @@ def tj_table(k: int, n_max: int) -> list:
         sign = (-1) ** s
         weights = [Fraction(sign, 2) * z[j] for j in range(n_max + 1)]
     core = [(-1) ** j * _central_sq(j) * weights[j] for j in range(n_max + 1)]
+    # binomial transform in integers over the common denominator of core,
+    # with the Pascal row C(n, 0..n) updated in place of comb(n, j)
+    den = lcm(*(c.denominator for c in core))
+    nums = [c.numerator * (den // c.denominator) for c in core]
     out = []
+    row = [1]
     for n in range(n_max + 1):
-        out.append(sum((core[j] * comb(n, j) for j in range(n + 1)), Fraction(0)))
+        out.append(Fraction(sum(b * x for b, x in zip(row, nums)), den))
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     return out
 
 
@@ -289,6 +295,15 @@ def _j1(n: int) -> Fraction:
     return Fraction(num, den)
 
 
+# J_k(n) for k = 2..4 as a sum of terms c tJ_m(n) times a basis symbol,
+# each given as (symbol, m, c); aperylike_J spells the three forms out
+_J_FORMS = {
+    2: ((HZ2, 2, 1),),
+    3: ((ONE, 3, 1), (HZ3, 2, 2)),
+    4: ((HZ2, 4, 1), (HZ4, 2, 3)),
+}
+
+
 def aperylike_J(k: int, n: int) -> ZetaCombo:
     """Apery-like number J_k(n) for k in 0..4 as a ZetaCombo.
 
@@ -301,15 +316,21 @@ def aperylike_J(k: int, n: int) -> ZetaCombo:
         return ZetaCombo.zero()
     if k == 1:
         return ZetaCombo.of({ONE: _j1(n)})
-    if k == 2:
-        return ZetaCombo.of({HZ2: aperylike_tJ(2, n)})
-    if k == 3:
-        return ZetaCombo.of({ONE: aperylike_tJ(3, n), HZ3: 2 * aperylike_tJ(2, n)})
-    if k == 4:
-        return ZetaCombo.of(
-            {HZ2: aperylike_tJ(4, n), HZ4: 3 * aperylike_tJ(2, n)}
-        )
-    raise UnsupportedIndex(f"J_{k} outside the supported range 0..4")
+    if k not in _J_FORMS:
+        raise UnsupportedIndex(f"J_{k} outside the supported range 0..4")
+    return ZetaCombo.of({sym: c * aperylike_tJ(m, n) for sym, m, c in _J_FORMS[k]})
+
+
+def j_table(k: int, n_max: int) -> list:
+    """J_k(0..n_max) for k in 2..4, from one tj_table per tJ index."""
+    if k not in _J_FORMS:
+        raise UnsupportedIndex(f"J_{k} table outside the supported range 2..4")
+    form = _J_FORMS[k]
+    tables = {m: tj_table(m, n_max) for _, m, _ in form}
+    return [
+        ZetaCombo.of({sym: c * tables[m][n] for sym, m, c in form})
+        for n in range(n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Union
 
 Rat = Fraction
@@ -34,17 +34,38 @@ class DenominatorNotInvertible(ArithmeticError):
     """Reduction of x mod p^e requested while p divides the denominator of x."""
 
 
+def _bernoulli_table(m: int) -> list:
+    """B_0..B_m (B_1 = -1/2) from the tangent numbers T_1..T_{m//2}.
+
+    Brent-Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers" (2013): the in-place integer recurrence
+    T_j <- (j-k) T_{j-1} + (j-k+2) T_j gives every T_n in O(m^2) integer
+    operations, then B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+    """
+    half = m // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (m - 1)
+    for n in range(1, half + 1):
+        four = 4**n
+        out[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t[n], four * (four - 1))
+    return out[: m + 1]
+
+
 class _BernoulliCache:
     """Lazy shared table of B_0, B_1, ... (convention B_1 = -1/2).
 
-    Values are produced by the Akiyama-Tanigawa triangle, which natively
-    yields the B_1 = +1/2 convention; the single sign flip at index 1 is
-    applied on read.  The table only ever grows and entries are immutable,
-    so concurrent readers are safe; extension happens under a lock.
+    A request past the end rebuilds the table to max(k, 2 * length) and
+    appends the new entries, so the total stays amortised O(k^2) integer
+    operations.  The table only ever grows and entries are immutable, so
+    concurrent readers are safe; extension happens under a lock.
     """
 
     def __init__(self) -> None:
-        self._row: list[Fraction] = []
         self._values: list[Fraction] = []
         self._lock = threading.Lock()
 
@@ -52,12 +73,9 @@ class _BernoulliCache:
         if k < len(self._values):
             return self._values[k]
         with self._lock:
-            while len(self._values) <= k:
-                m = len(self._values)
-                self._row.append(Fraction(1, m + 1))
-                for j in range(m, 0, -1):
-                    self._row[j - 1] = j * (self._row[j - 1] - self._row[j])
-                self._values.append(self._row[0])
+            have = len(self._values)
+            if k >= have:
+                self._values.extend(_bernoulli_table(max(k, 2 * have))[have:])
         return self._values[k]
 
 
@@ -68,9 +86,17 @@ def bernoulli_number(k: int) -> Fraction:
     """B_k for the generating function t/(e^t - 1); B_1 = -1/2."""
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if k == 1:
-        return Fraction(-1, 2)
     return _BERNOULLI.get(k)
+
+
+def _fps_coeff(k: int, n: int) -> Fraction:
+    """(-1)^k B_k / k! * (k+n-2)!/(n-1)!: the k-th coefficient of the formal
+    asymptotic series of zeta(n, tau) in powers of 1/tau, exact."""
+    return (
+        (-1) ** k
+        * bernoulli_number(k)
+        * Fraction(factorial(k + n - 2), factorial(k) * factorial(n - 1))
+    )
 
 
 def bernoulli_poly(k: int, x: RatLike) -> Fraction:

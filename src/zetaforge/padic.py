@@ -16,12 +16,17 @@ this convention and report the normalization factor explicitly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .exact import bernoulli_number, bernoulli_poly, binom_general, padic_valuation
+from .exact import (
+    _fps_coeff,
+    bernoulli_number,
+    bernoulli_poly,
+    binom_general,
+    padic_valuation,
+)
 
 __all__ = [
     "NotAUnit",
@@ -483,14 +488,7 @@ def padic_divergence_report(
     rows = []
     acc = Fraction(0)
     for k in range(K + 1):
-        c = (
-            (-1) ** k
-            * bernoulli_number(k)
-            * Fraction(
-                math.factorial(k + n - 2), math.factorial(k) * math.factorial(n - 1)
-            )
-        )
-        term = c / tau_rat ** (k + n - 1)
+        term = _fps_coeff(k, n) / tau_rat ** (k + n - 1)
         acc += term
         rows.append(
             {

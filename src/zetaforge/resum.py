@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from scipy import integrate
 
 from . import Uncertified
-from .exact import bernoulli_number
+from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
 
 __all__ = [
@@ -106,15 +106,6 @@ def a_nj_closed(n: int, j: int, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     return math.factorial(j + n - 2) / math.factorial(n - 1) * tau ** (-(j + n - 1))
-
-
-def _fps_coeff(k: int, n: int) -> Fraction:
-    """(-1)^k B_k / k! * (k+n-2)!/(n-1)! as an exact rational."""
-    return (
-        (-1) ** k
-        * bernoulli_number(k)
-        * Fraction(math.factorial(k + n - 2), math.factorial(k) * math.factorial(n - 1))
-    )
 
 
 def fps_hurwitz(n: int, tau: float, K: int) -> list:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
-
-
 
 GRID = 24
 # sentinel truncation bound for series that are exact (polynomials, constants)
@@ -270,13 +268,23 @@ def hypergeom_2f1_series(a, b, c, order: int) -> PowerSeriesRat:
 # ---------------------------------------------------------------------------
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass
 class QSeries:
     """Exact q-expansion with exponents in (1/24)Z, Laurent-bounded below.
 
-    ``coeffs`` maps exponent*24 -> Rat; ``max24`` is the last exponent (in
-    24ths) whose coefficient is guaranteed correct.  Multiplication and
-    inversion shrink ``max24`` exactly as the unknown tails dictate.
+    ``coeffs`` maps exponent*24 -> coefficient, stored as an int when it is
+    integral (eta and theta products stay integer) and as a Fraction
+    otherwise; ``max24`` is the last exponent (in 24ths) whose coefficient
+    is guaranteed correct.  Multiplication and inversion shrink ``max24``
+    exactly as the unknown tails dictate.
     """
 
     coeffs: dict
@@ -284,7 +292,7 @@ class QSeries:
 
     def __post_init__(self):
         self.coeffs = {
-            e: Fraction(c) for e, c in self.coeffs.items() if c != 0 and e <= self.max24
+            e: _exact(c) for e, c in self.coeffs.items() if c != 0 and e <= self.max24
         }
 
     # -- basic structure ----------------------------------------------------
@@ -298,7 +306,7 @@ class QSeries:
         if not self.coeffs:
             raise NonInvertibleLeadingTerm("series is zero through its bound")
         e = self.min24
-        return Fraction(e, GRID), self.coeffs[e]
+        return Fraction(e, GRID), Fraction(self.coeffs[e])
 
     def coefficient(self, exponent) -> Fraction:
         e24 = _to_grid(exponent)
@@ -307,7 +315,7 @@ class QSeries:
                 f"exponent {Fraction(e24, GRID)} beyond trusted bound "
                 f"{Fraction(self.max24, GRID)}"
             )
-        return self.coeffs.get(e24, Fraction(0))
+        return Fraction(self.coeffs.get(e24, 0))
 
     def truncate(self, max24: int) -> "QSeries":
         if max24 > self.max24:
@@ -320,35 +328,40 @@ class QSeries:
         m = min(self.max24, other.max24)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return QSeries(out, m)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def scale(self, c) -> "QSeries":
-        c = Fraction(c)
+        c = _exact(c)
         return QSeries({e: c * v for e, v in self.coeffs.items()}, self.max24)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         # unknown tail of one factor first pollutes exponents past
-        # (own bound + other's minimal exponent)
-        if not self.coeffs or not other.coeffs:
-            bound = max(self.max24, other.max24)
-            return QSeries({}, bound)
-        m = min(self.max24 + other.min24, other.max24 + self.min24)
+        # (own bound + other's minimal exponent); a factor that is zero
+        # through its bound has only its bound to offer
+        bounds = []
+        if other.coeffs:
+            bounds.append(self.max24 + other.min24)
+        if self.coeffs:
+            bounds.append(other.max24 + self.min24)
+        m = min(bounds) if bounds else self.max24 + other.max24
+        right = sorted(other.coeffs.items())
         out: dict = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            for e2, c2 in right:
                 e = e1 + e2
-                if e <= m:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                if e > m:
+                    break
+                out[e] = out.get(e, 0) + c1 * c2
         return QSeries(out, m)
 
     def pow(self, e: int) -> "QSeries":
         if e < 0:
             return self.pow(-e).inverse()
-        result = QSeries({0: Fraction(1)}, EXACT_BOUND)
+        result = QSeries({0: 1}, EXACT_BOUND)
         base = self
         k = e
         while k:
@@ -363,20 +376,26 @@ class QSeries:
         if not self.coeffs:
             raise NonInvertibleLeadingTerm("cannot invert the zero series")
         m = self.min24
-        lead = self.coeffs[m]
+        inv_lead = _exact(1 / Fraction(self.coeffs[m]))
         rel_len = self.max24 - m  # relative trusted window
-        a = [Fraction(0)] * (rel_len + 1)
-        for e, c in self.coeffs.items():
-            a[e - m] = c
-        b = [Fraction(0)] * (rel_len + 1)
-        b[0] = 1 / lead
-        for i in range(1, rel_len + 1):
-            s = Fraction(0)
-            for j in range(1, i + 1):
-                if a[j] != 0:
-                    s += a[j] * b[i - j]
-            b[i] = -s / lead
-        out = {i - m: b[i] for i in range(rel_len + 1) if b[i] != 0}
+        # the terms sit on m + step*Z (one residue class mod 24 for an eta
+        # product), so the inverse sits on -m + step*Z: solve on that grid,
+        # walking only the nonzero terms of the monic series self/lead
+        step = gcd(*(e - m for e in self.coeffs)) or 1
+        terms = [
+            ((e - m) // step, c * inv_lead)
+            for e, c in sorted(self.coeffs.items())
+            if e != m
+        ]
+        b = [1]
+        for i in range(1, rel_len // step + 1):
+            s = 0
+            for j, c in terms:
+                if j > i:
+                    break
+                s -= c * b[i - j]
+            b.append(s)
+        out = {step * i - m: bi * inv_lead for i, bi in enumerate(b)}
         return QSeries(out, rel_len - m)
 
     def is_zero(self) -> bool:
@@ -410,7 +429,7 @@ def _to_grid(exponent) -> int:
 
 
 def qseries_one(max24: int = EXACT_BOUND) -> QSeries:
-    return QSeries({0: Fraction(1)}, max24)
+    return QSeries({0: 1}, max24)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +446,7 @@ def _eta_raw(scale: int, max24: int) -> QSeries:
         for mm in (m, -m - 1):
             e = scale * (6 * mm + 1) ** 2
             if e <= max24:
-                coeffs[e] = coeffs.get(e, Fraction(0)) + (-1) ** (mm % 2)
+                coeffs[e] = coeffs.get(e, 0) + (-1) ** (mm % 2)
                 hit = True
         if not hit:
             break
@@ -483,13 +502,13 @@ def theta_qseries(j: int, max_exponent) -> QSeries:
     if j == 2:
         n = 0
         while 3 * (2 * n + 1) ** 2 <= max24:  # (n+1/2)^2/2 = (2n+1)^2/8
-            coeffs[3 * (2 * n + 1) ** 2] = Fraction(2)
+            coeffs[3 * (2 * n + 1) ** 2] = 2
             n += 1
     elif j in (3, 4):
-        coeffs[0] = Fraction(1)
+        coeffs[0] = 1
         n = 1
         while 12 * n * n <= max24:  # n^2/2
-            coeffs[12 * n * n] = Fraction(2) if (j == 3 or n % 2 == 0) else Fraction(-2)
+            coeffs[12 * n * n] = 2 if (j == 3 or n % 2 == 0) else -2
             n += 1
     else:
         raise ValueError("theta index must be 2, 3 or 4")
@@ -544,18 +563,42 @@ def compose_series(outer: PowerSeriesRat, inner: QSeries) -> QSeries:
         raise NonvanishingInnerConstant(
             "inner series must have strictly positive minimal exponent"
         )
-    # terms beyond outer.order first matter at exponent m*(order+1)
-    bound = min(inner.max24, m * (outer.order + 1) - 1)
-    acc = qseries_one(bound).scale(outer.coeffs[0])
-    power = qseries_one()
-    for n in range(1, outer.order + 1):
-        power = power * inner
-        if power.is_zero() or power.min24 > bound:
+    bound, powers = _powers_through(inner, outer.order)
+    return _weighted_sum(outer.coeffs, powers, bound)
+
+
+def _powers_through(inner: QSeries, order: int) -> tuple:
+    """(bound, [inner^0, inner^1, ...]) for composing a series of the given
+    order with ``inner``: the bound past which such a composition is not
+    trusted, and the powers, each truncated to the bound, up to the first
+    that vanishes through it."""
+    # terms beyond the order first matter at exponent m*(order+1)
+    bound = min(inner.max24, inner.min24 * (order + 1) - 1)
+    powers = [qseries_one()]
+    for _ in range(order):
+        power = powers[-1] * inner
+        power = power.truncate(min(power.max24, bound))
+        if power.is_zero():
             break
-        c = outer.coeffs[n]
-        if c != 0:
-            acc = acc + power.scale(c)
-    return acc.truncate(bound)
+        powers.append(power)
+    return bound, powers
+
+
+def _weighted_sum(coeffs: Sequence, powers: list, bound: int) -> QSeries:
+    """sum_n coeffs[n] powers[n], trusted through ``bound``; the sum runs in
+    integers over the common denominator of the coefficients."""
+    weights = [Fraction(c) for c in coeffs[: len(powers)]]
+    den = lcm(*(w.denominator for w in weights))
+    acc: dict = {}
+    max24 = bound
+    for w, power in zip(weights, powers):
+        if w == 0:
+            continue
+        w = w.numerator * (den // w.denominator)
+        for e, c in power.coeffs.items():
+            acc[e] = acc.get(e, 0) + w * c
+        max24 = min(max24, power.max24)
+    return QSeries({e: Fraction(c, den) for e, c in acc.items()}, max24).truncate(bound)
 
 
 @dataclass
@@ -608,19 +651,22 @@ def verify_w2_identity(max_exponent=20) -> W2Report:
     lhs_coeffs = _tj2_series(order + 1)
     rhs = eta_product_qseries({2: 22, 1: -12, 4: -8}, max_exponent)
 
-    z_eta = hauptmodul_z(max_exponent)
+    # each candidate is c z for the eta quotient z; as (c z)^n = c^n z^n,
+    # the powers of z are formed once and c^n moves into the weights
+    z_bound, powers = _powers_through(hauptmodul_z(max_exponent), lhs_coeffs.order)
     candidates = [
-        ("eta-as-printed", z_eta),
-        ("eta-times-16", z_eta.scale(16)),
-        ("eta-negated", z_eta.scale(-1)),
-        ("eta-negated-times-16", z_eta.scale(-16)),
+        ("eta-as-printed", 1),
+        ("eta-times-16", 16),
+        ("eta-negated", -1),
+        ("eta-negated-times-16", -16),
     ]
 
     variants = []
     matched_label = None
     matched_mismatch: Optional[Fraction] = None
-    for label, z in candidates:
-        lhs = compose_series(lhs_coeffs, z)
+    for label, c in candidates:
+        weights = [t * c**n for n, t in enumerate(lhs_coeffs.coeffs)]
+        lhs = _weighted_sum(weights, powers, z_bound)
         bound = min(lhs.max24, rhs.max24)
         diff = lhs.truncate(bound).first_difference(rhs.truncate(bound))
         ok = diff is None

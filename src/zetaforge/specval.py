@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _mc
-from .exact import bernoulli_number, binom_general
+from .exact import bernoulli_number
 
 __all__ = [
     "PoleAtOne",
@@ -198,7 +198,7 @@ def r_k1_series(k: int, kappa: float, n_max: int) -> Tuple[float, float]:
     The factor k/2 matches the cube integral ``r_kj_quadrature(k, 1, .)``:
     J_k(0) = (k-1) zeta(k,1/2) while R_{k,1}(0) = C(k,2) zeta(k,1/2).
     """
-    from .aperynum import aperylike_J
+    from .aperynum import j_table
 
     if not (0 <= kappa < 1):
         raise SeriesRegimeViolated("series route needs 0 <= kappa < 1")
@@ -212,17 +212,19 @@ def r_k1_series(k: int, kappa: float, n_max: int) -> Tuple[float, float]:
         "HZ3": _hz_half(3),
         "HZ4": _hz_half(4),
     }
+    table = j_table(k, n_max)
     total = 0.0
     last = 0.0
     k2 = kappa * kappa
     kpow = 1.0
-    for n in range(n_max + 1):
-        combo = aperylike_J(k, n)
+    binom = Fraction(1)  # C(-1/2, n)
+    for n, combo in enumerate(table):
         jn = sum(float(c) * basis[sym] for sym, c in combo.coeffs)
-        term = float(binom_general(Fraction(-1, 2), n)) * jn * kpow
+        term = float(binom) * jn * kpow
         total += term
         last = abs(term)
         kpow *= k2
+        binom *= Fraction(-(2 * n + 1), 2 * (n + 1))
     scale = k / 2
     return scale * total, scale * last
 

@@ -125,7 +125,33 @@ class TestAperyLikeJ:
             assert (lhs - rhs).is_zero(), k
 
 
+def tj_table_fraction_loop(k: int, n_max: int) -> list:
+    """tJ_k(0..n_max) by the binomial transform summed term by term in
+    Fractions with math.comb: the oracle for the integer transform."""
+    if k % 2 == 0:
+        s = (k - 2) // 2
+        z = aperynum._zsum_even(s, n_max)
+        weight = F((-1) ** s)
+    else:
+        s = (k - 1) // 2
+        z = aperynum._zsum_odd(s, n_max)
+        weight = F((-1) ** s, 2)
+    core = [(-1) ** j * aperynum._central_sq(j) * weight * z[j] for j in range(n_max + 1)]
+    return [
+        sum((core[j] * comb(n, j) for j in range(n + 1)), F(0))
+        for n in range(n_max + 1)
+    ]
+
+
 class TestNormalizedTJ:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_fraction_loop_oracle(self, k):
+        assert tj_table(k, 60) == tj_table_fraction_loop(k, 60)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_j_table_matches_aperylike_J(self, k):
+        assert aperynum.j_table(k, 25) == [aperylike_J(k, n) for n in range(26)]
+
     def test_examples(self):
         assert aperylike_tJ(2, 0) == 1
         assert aperylike_tJ(2, 1) == F(3, 4)
@@ -177,6 +203,8 @@ class TestNormalizedTJ:
             aperylike_tJ(7, 3)
         with pytest.raises(UnsupportedIndex):
             aperylike_J(5, 3)
+        with pytest.raises(UnsupportedIndex):
+            aperynum.j_table(1, 3)
 
 
 class TestCongruences:

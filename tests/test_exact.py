@@ -1,8 +1,8 @@
 """Exact-arithmetic layer: Bernoulli family, binomials, modular reduction.
 
-The implementation computes Bernoulli numbers with the Akiyama-Tanigawa
-triangle; the convolution identity sum_j C(k+1,j) B_j = 0 is the
-independent oracle here.
+The implementation computes Bernoulli numbers from the tangent numbers
+(Brent-Harvey); the Akiyama-Tanigawa triangle and the convolution identity
+sum_j C(k+1,j) B_j = 0 are the independent oracles here.
 """
 
 from fractions import Fraction
@@ -28,6 +28,21 @@ rationals = st.fractions(
 )
 
 
+def akiyama_tanigawa(m: int) -> list:
+    """B_0..B_m by the Akiyama-Tanigawa triangle, which yields B_1 = +1/2;
+    the sign at index 1 is flipped to the B_1 = -1/2 convention."""
+    row: list = []
+    out = []
+    for n in range(m + 1):
+        row.append(Fraction(1, n + 1))
+        for j in range(n, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    if m >= 1:
+        out[1] = -out[1]
+    return out
+
+
 class TestBernoulliNumbers:
     def test_known_values(self):
         assert bernoulli_number(0) == 1
@@ -47,6 +62,19 @@ class TestBernoulliNumbers:
         for k in range(1, 61):
             total = sum(comb(k + 1, j) * bernoulli_number(j) for j in range(k + 1))
             assert total == 0, k
+
+    def test_triangle_oracle_through_300(self):
+        assert [bernoulli_number(k) for k in range(301)] == akiyama_tanigawa(300)
+
+    def test_table_independent_of_request_order(self):
+        high_first, low_first = exact._BernoulliCache(), exact._BernoulliCache()
+        high_first.get(300)
+        high_first.get(10)
+        low_first.get(10)
+        low_first.get(300)
+        a = [high_first.get(k) for k in range(301)]
+        b = [low_first.get(k) for k in range(301)]
+        assert a == b == akiyama_tanigawa(300)
 
     def test_cache_is_bit_identical(self):
         a = bernoulli_number(40)

@@ -167,6 +167,21 @@ class TestEta:
         e = eta_qseries(3, 0, 5)
         assert e.coefficient(0) == 1 and len(e.coeffs) == 1
 
+    @pytest.mark.parametrize(
+        "powers", [{4: 6}, {2: 4, 4: 4}, {1: 8, 4: 16, 2: -24}, {2: 22, 1: -12, 4: -8}]
+    )
+    def test_inverse_times_series_is_one(self, powers):
+        s = series.eta_product_qseries(powers, 12)
+        prod = s * s.inverse()
+        assert prod.max24 == s.max24 - s.min24
+        assert prod.coeffs == {0: 1}
+
+    def test_integral_coefficients_stored_as_int(self):
+        e = eta_qseries(1, -3, 4)
+        assert all(type(c) is int for c in e.coeffs.values())
+        assert type(e.coefficient(F(1, 8))) is Fraction
+        assert type(e.leading()[1]) is Fraction
+
     def test_inverse_power_roundtrip(self):
         for e in (1, -1, 6, -6):
             a = eta_qseries(2, e, 8)
@@ -198,6 +213,17 @@ class TestTheta:
 
     def test_jacobi_identity(self):
         assert jacobi_theta_identity_check(12) is None
+
+    def test_zero_factor_keeps_its_bound(self):
+        # theta2 through q^{1/24} has no terms yet: its fourth power is not
+        # known at q^{1/2}, where the true coefficient is 16
+        with pytest.raises(IndexError):
+            theta_qseries(2, F(1, 24)).pow(4).coefficient(F(1, 2))
+        assert theta_qseries(2, 1).pow(4).coefficient(F(1, 2)) == 16
+        empty = QSeries({}, 5)
+        assert (empty * empty).max24 == 10
+        assert (empty * theta_qseries(3, 2)).max24 == 5
+        assert (theta_qseries(2, 2) * empty).max24 == 8
 
 
 class TestHauptmodul:
@@ -255,6 +281,20 @@ class TestW2Identity:
         assert rep.matched
         assert rep.convention_used == "eta-times-16"
         assert sum(1 for v in rep.variants if v["matched"]) == 1
+
+    def test_report_pinned_at_q36(self):
+        assert verify_w2_identity(36).to_dict() == {
+            "matched": True,
+            "convention_used": "eta-times-16",
+            "first_mismatch": None,
+            "max_exponent": "36",
+            "variants": [
+                {"label": "eta-as-printed", "matched": False, "first_mismatch": "1", "checked_through": "36"},
+                {"label": "eta-times-16", "matched": True, "first_mismatch": None, "checked_through": "36"},
+                {"label": "eta-negated", "matched": False, "first_mismatch": "1", "checked_through": "36"},
+                {"label": "eta-negated-times-16", "matched": False, "first_mismatch": "1", "checked_through": "36"},
+            ],
+        }
 
     def test_normalized_constant_terms(self):
         rhs = series.eta_product_qseries({2: 22, 1: -12, 4: -8}, 4)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from zetaforge import specval
-from zetaforge.exact import hurwitz_zeta_nonpos, pochhammer
+from zetaforge.aperynum import aperylike_J
+from zetaforge.exact import binom_general, hurwitz_zeta_nonpos, pochhammer
 from zetaforge.specval import (
     APPENDIX_AB_EXACT,
     NchoParams,
@@ -131,6 +132,22 @@ class TestRk1Series:
             v, last = r_k1_series(2, kappa, 90)
             f = hyp2f1_quarter(-(kappa**2))
             assert abs(v - PI**2 / 2 * f * f) < max(1e-8, 10 * last), kappa
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_equals_per_term_sum_bit_for_bit(self, k):
+        # the series built from one table per tJ index sums the same floats
+        # in the same order as a sum over J_k(n) computed one n at a time
+        basis = {"ONE": 1.0}
+        for j in (2, 3, 4):
+            basis[f"HZ{j}"] = float(hurwitz_zeta_num(j, 0.5))
+        total, last, kpow = 0.0, 0.0, 1.0
+        for n in range(41):
+            jn = sum(float(c) * basis[sym] for sym, c in aperylike_J(k, n).coeffs)
+            term = float(binom_general(Fraction(-1, 2), n)) * jn * kpow
+            total += term
+            last = abs(term)
+            kpow *= 0.25
+        assert r_k1_series(k, 0.5, 40) == (k / 2 * total, k / 2 * last)
 
     def test_regime_guard(self):
         with pytest.raises(SeriesRegimeViolated):
