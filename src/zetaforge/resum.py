@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from scipy import integrate
-
 from . import Uncertified
+from ._quad import quad
 from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
 
@@ -272,7 +271,7 @@ def borel_sum_hurwitz(n: int, z: float, tolerance: float = 1e-8) -> BorelReport:
     def f_low(t: float) -> float:
         return math.exp(-t / z) * borel_transform_hurwitz(n, t)
 
-    low, err_low = integrate.quad(f_low, 0.0, 1.0, epsabs=1e-12, limit=200)
+    low, err_low = quad(f_low, 0.0, 1.0, epsabs=1e-12)
 
     def f_high(u: float) -> float:
         if u >= 1.0:
@@ -283,7 +282,7 @@ def borel_sum_hurwitz(n: int, z: float, tolerance: float = 1e-8) -> BorelReport:
         jac = 1.0 / (1.0 - u) ** 2
         return math.exp(-t / z) * borel_transform_hurwitz(n, t) * jac
 
-    high, err_high = integrate.quad(f_high, 0.0, 1.0, epsabs=1e-12, limit=200)
+    high, err_high = quad(f_high, 0.0, 1.0, epsabs=1e-12)
     if not (math.isfinite(low) and math.isfinite(high)):
         raise QuadratureFailure("Laplace integral diverged")
     value = (low + high) / z
@@ -320,7 +319,10 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
 
     The integrand is regrouped as w(x) g(x) with w = x^{s-2} (1-x)^{1-s}
     (both exponents in (-1, 0)) and g(x) = zeta(2, 1/(xz))/x, which is
-    bounded: zeta(2, w) ~ 1/w as w -> infinity makes g(0+) = z.
+    bounded: zeta(2, w) ~ 1/w as w -> infinity makes g(0+) = z.  Each
+    endpoint factor of w is removed by an exact change of variables on its
+    half: x = v^{1/(s-1)} on [0, 1/2], where x^{s-2} dx = dv/(s-1), and
+    1 - x = y^{1/(2-s)} on [1/2, 1], where (1-x)^{1-s} dx = dy/(2-s).
     """
 
     def g(x: float) -> float:
@@ -328,9 +330,19 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
             return z
         return float(hurwitz_zeta_num(2, 1.0 / (x * z))) / x
 
-    val, err = integrate.quad(
-        g, 0.0, 1.0, weight="alg", wvar=(s - 2.0, 1.0 - s), epsabs=1e-12, limit=200
-    )
+    a, b = s - 1.0, 2.0 - s
+
+    def f_left(v: float) -> float:
+        x = v ** (1.0 / a)
+        return (1.0 - x) ** (1.0 - s) * g(x)
+
+    def f_right(y: float) -> float:
+        x = 1.0 - y ** (1.0 / b)
+        return x ** (s - 2.0) * g(x)
+
+    left, err_left = quad(f_left, 0.0, 0.5**a, epsabs=1e-12)
+    right, err_right = quad(f_right, 0.0, 0.5**b, epsabs=1e-12)
+    val, err = left / a + right / b, err_left / a + err_right / b
     pref = math.sin(math.pi * s) / (z * math.pi * (1.0 - s))
     return pref * val, abs(pref) * err
 
@@ -377,7 +389,7 @@ def _borel_sum_fractional_laplace(s: float, z: float) -> tuple:
     def f(t: float) -> float:
         return math.exp(-t / z) * _borel_transform_fractional(s, t)
 
-    val, err = integrate.quad(f, 0.0, T, epsabs=1e-12, limit=200)
+    val, err = quad(f, 0.0, T, epsabs=1e-12)
     tail = math.exp(-T / z) * abs(_borel_transform_fractional(s, T)) * z
     return val / z, err / z + tail / z
 

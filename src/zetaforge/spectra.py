@@ -20,15 +20,16 @@ the small-N reference the sectors are tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eig_banded
 
 from . import Uncertified, _mc
+from ._quad import quad
 from .exact import hurwitz_zeta_nonpos
 from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
 
@@ -599,24 +600,38 @@ def spectral_zeta_mellin(
     The integral is split at t = 1 with the upper half mapped to a finite
     interval.  When a small-t model is supplied (e.g. the residue term plus
     fitted odd powers), it replaces Z below ``t_cut``, which keeps spectra
-    with finitely many computed eigenvalues honest near t = 0.
+    with finitely many computed eigenvalues honest near t = 0.  The model
+    makes the integrand jump at ``t_cut``, so the half that holds the jump is
+    integrated on each side of its image separately.
     """
     if s <= 1:
         raise NonIntegrable("need Re s > 1 for the Mellin integral")
+    jump = t_cut if small_t_model is not None else 0.0
+
+    def quad_split(f: Callable[[float], float], lo: float, cut: float) -> float:
+        edges = (lo, cut, 1.0) if lo < cut < 1.0 else (lo, 1.0)
+        pieces = zip(edges, edges[1:])
+        return sum(quad(f, a, b, epsabs=epsabs)[0] for a, b in pieces)
 
     def zf(t: float) -> float:
         if t < t_cut and small_t_model is not None:
             return small_t_model(t)
         return Z(t)
 
-    # [0, 1] with t = u^2 to soften the t^{s-2} end behavior
-    def f_low(u: float) -> float:
-        t = u * u
-        if t == 0.0:
-            return 0.0
-        return 2.0 * u * t ** (s - 1.0) * zf(t) * math.exp(-tau * t)
+    # [0, 1] with t = u^m, m = max(2, 1/(s-1)): Z(t) = O(1/t) as t -> 0 (the
+    # reason s > 1 is needed), so the integrand m u^{m-1} t^{s-1} Z(t) stays
+    # bounded at u = 0.  Below u0, where t < t0 = 1.5e-154 (small enough to
+    # be flat in, far enough from the smallest double that Z(t) ~ 1/t cannot
+    # overflow), the integrand is flat to O(t) and is added as a rectangle.
+    m = max(2.0, 1.0 / (s - 1.0))
+    u0 = math.sqrt(sys.float_info.min) ** (1.0 / m)
 
-    low, low_err = integrate.quad(f_low, 0.0, 1.0, epsabs=epsabs, limit=200)
+    def f_low(u: float) -> float:
+        t = u**m
+        return m * u ** (m - 1.0) * t ** (s - 1.0) * zf(t) * math.exp(-tau * t)
+
+    cut = jump ** (1.0 / m) if 0.0 < jump < 1.0 else 0.0
+    low = u0 * f_low(u0) + quad_split(f_low, u0, cut)
 
     # [1, inf) with t = 1 + u/(1-u); the e^{-tau t} damping is evaluated
     # first so Z is never called where the weight has underflowed to zero
@@ -632,7 +647,7 @@ def spectral_zeta_mellin(
         jac = 1.0 / (1.0 - u) ** 2
         return t ** (s - 1.0) * zf(t) * damping * jac
 
-    high, high_err = integrate.quad(f_high, 0.0, 1.0, epsabs=epsabs, limit=200)
+    high = quad_split(f_high, 0.0, 1.0 - 1.0 / jump if jump > 1.0 else 0.0)
     if not (math.isfinite(low) and math.isfinite(high)):
         raise NonIntegrable("Mellin integral did not converge")
     return (low + high) / math.gamma(s)

@@ -245,6 +245,21 @@ def _w_factors(k: int, j: int) -> Sequence[Tuple[float, Sequence[Sequence[int]]]
     raise UnsupportedIndexPair(f"no displayed integrand for (k, j) = ({k}, {j})")
 
 
+def _cube_sub(v: np.ndarray):
+    """The finite-variance substitution u = 1 - v^2 at sample rows v:
+    (Jacobian prod 2 v_i, u^2, u^4)."""
+    u = 1.0 - v * v
+    u2 = u * u
+    return np.prod(2.0 * v, axis=1), u2, u2 * u2
+
+
+def _abc(u4: np.ndarray, u2: np.ndarray):
+    a = 1.0 - np.prod(u2, axis=1)
+    b = (1.0 - u4[:, 0] * u4[:, 1]) * (1.0 - u4[:, 2] * u4[:, 3])
+    c = np.prod(1.0 - u4, axis=1)
+    return a, b, c
+
+
 def _rkj_integrand(k: int, j: int, kappa: float):
     """Integrand over v in [0,1]^k with u_i = 1 - v_i^2; includes Jacobian."""
     k2 = kappa * kappa
@@ -252,13 +267,8 @@ def _rkj_integrand(k: int, j: int, kappa: float):
     if (k, j) == (4, 2):
 
         def f(v: np.ndarray) -> np.ndarray:
-            u = 1.0 - v * v
-            jac = np.prod(2.0 * v, axis=1)
-            u2 = u * u
-            u4 = u2 * u2
-            a = 1.0 - np.prod(u2, axis=1)
-            b = (1.0 - u4[:, 0] * u4[:, 1]) * (1.0 - u4[:, 2] * u4[:, 3])
-            c = np.prod(1.0 - u4, axis=1)
+            jac, u2, u4 = _cube_sub(v)
+            a, b, c = _abc(u4, u2)
             rad = a * a + k2 * b + (k2 + k2 * k2) * c
             return 16.0 * jac / np.sqrt(rad)
 
@@ -267,10 +277,7 @@ def _rkj_integrand(k: int, j: int, kappa: float):
     comps = _w_factors(k, j)
 
     def f(v: np.ndarray) -> np.ndarray:
-        u = 1.0 - v * v
-        jac = np.prod(2.0 * v, axis=1)
-        u2 = u * u
-        u4 = u2 * u2
+        jac, u2, u4 = _cube_sub(v)
         a = 1.0 - np.prod(u2, axis=1)
         out = np.zeros(v.shape[0])
         for pref, groups in comps:
@@ -367,13 +374,6 @@ def zetaQ2_closed(params: NchoParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _abc(u4: np.ndarray, u2: np.ndarray):
-    a = 1.0 - np.prod(u2, axis=1)
-    b = (1.0 - u4[:, 0] * u4[:, 1]) * (1.0 - u4[:, 2] * u4[:, 3])
-    c = np.prod(1.0 - u4, axis=1)
-    return a, b, c
-
-
 def appendixB_integral(
     which: str,
     n: int,
@@ -396,10 +396,7 @@ def appendixB_integral(
     m = k_or_j
 
     def f(v: np.ndarray) -> np.ndarray:
-        u = 1.0 - v * v
-        jac = np.prod(2.0 * v, axis=1)
-        u2 = u * u
-        u4 = u2 * u2
+        jac, u2, u4 = _cube_sub(v)
         a, b, c = _abc(u4, u2)
         base = (b + c) if which == "A" else b
         return base ** (n - m) * c**m / a ** (2 * n + 1) * jac
@@ -456,10 +453,7 @@ def r42_order_of_contact(
 
     def diff_f(kappa2: float):
         def f(v: np.ndarray) -> np.ndarray:
-            u = 1.0 - v * v
-            jac = np.prod(2.0 * v, axis=1)
-            u2 = u * u
-            u4 = u2 * u2
+            jac, u2, u4 = _cube_sub(v)
             a, b, c = _abc(u4, u2)
             rad = a * a + kappa2 * b + (kappa2 + kappa2 * kappa2) * c
             return 16.0 * jac * (1.0 / np.sqrt(rad) - 1.0 / a)

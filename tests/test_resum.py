@@ -240,6 +240,23 @@ class TestBorelFractional:
         vals = [(s - 1) * borel_sum_complex_s(s, 0.1).borel_sum for s in (1.2, 1.1, 1.05)]
         assert all(0.1 < v < 5.0 for v in vals)
 
+    @pytest.mark.parametrize("s", [1.05, 1.2, 1.5, 1.8, 1.95])
+    @pytest.mark.parametrize("z", [0.1, 0.3, 0.5])
+    def test_xroute_substitution_matches_qaws(self, s, z):
+        # the endpoint weight x^{s-2} (1-x)^{1-s} integrated by QUADPACK's
+        # algebraic-weight rule (QAWS) is the oracle for the change of variables
+        def g(x):
+            return z if x <= 0.0 else float(specval.hurwitz_zeta_num(2, 1.0 / (x * z))) / x
+
+        ref, _ = integrate.quad(
+            g, 0.0, 1.0, weight="alg", wvar=(s - 2.0, 1.0 - s), epsabs=1e-12, limit=200
+        )
+        ref *= math.sin(math.pi * s) / (z * math.pi * (1.0 - s))
+        value, err = resum._borel_sum_fractional_xroute(s, z)
+        gap = abs(value - ref)
+        assert gap <= 1e-10
+        assert err >= gap
+
     def test_out_of_strip(self):
         with pytest.raises(OutOfStrip):
             borel_sum_complex_s(2.5, 0.2)

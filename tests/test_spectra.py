@@ -323,6 +323,14 @@ class TestMellinZeta:
         val = spectral_zeta_mellin(qho_partition, 2.0, 0.0)
         assert abs(val - math.pi**2 / 2) < 1e-8
 
+    @pytest.mark.parametrize("s", [1.01, 1.05, 1.2, 1.5, 2.5])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_qho_hurwitz_near_the_pole(self, s, tau):
+        # sum_n (n + 1/2 + tau)^{-s}; t^{s-2} at t = 0 is steepest as s -> 1
+        val = spectral_zeta_mellin(qho_partition, s, tau)
+        exact = float(specval.hurwitz_zeta_num(s, 0.5 + tau))
+        assert abs(val - exact) <= 1e-10 * exact
+
     def test_qrm_vs_direct(self):
         q = QrmParams(0.3, 0.5)
         spec = qrm_eigs(q, N=768, count=380, threshold=1e-3)
