@@ -3,8 +3,9 @@
 QAG with the 21-point rule (key 6) of Piessens, de Doncker-Kapenga,
 Ueberhuber and Kahaner, *QUADPACK* (Springer, 1983): the interval with the
 largest error estimate is bisected until the summed estimate meets
-max(epsabs, epsrel |value|), roundoff stops the progress, or ``limit``
+max(epsabs, 1.49e-8 |value|), roundoff stops the progress, or 200
 intervals are in use.  The integrand is called with one float at a time.
+Stopping short of the tolerance raises an ``IntegrationWarning``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+import warnings
 from typing import Callable, Tuple
 
 # Kronrod nodes on [0, 1) with their weights; the odd-indexed nodes are the
@@ -39,10 +41,16 @@ _WG = (
 )
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
+_EPSREL = 1.49e-8
+_LIMIT = 200
 
 
-def _gk21(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, float, float]:
-    """(value, error estimate, int |f|, int |f - mean|) of the 21-point rule."""
+class IntegrationWarning(UserWarning):
+    """quad stopped before its error estimate met the tolerance."""
+
+
+def _gk21(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, float]:
+    """(value, error estimate, int |f - mean|) of the 21-point rule."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fc = f(c)
     pairs = [(f(c - h * x), f(c + h * x)) for x in _XGK[:10]]
@@ -60,30 +68,24 @@ def _gk21(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _TINY / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
-    return resk * (0.5 * (b - a)), err, resabs, resasc
+    return resk * (0.5 * (b - a)), err, resasc
 
 
-def quad(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    epsabs: float = 1.49e-8,
-    epsrel: float = 1.49e-8,
-    limit: int = 200,
-) -> Tuple[float, float]:
+def quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> Tuple[float, float]:
     """(value, abserr) of int_a^b f; abserr is the summed QUADPACK estimate,
-    reported as is when the tolerance could not be met."""
-    value, err, resabs, resasc = _gk21(f, a, b)
-    if err == 0.0 or (err <= max(epsabs, epsrel * abs(value)) and err != resasc):
+    reported as is (with an IntegrationWarning) when the tolerance could not
+    be met."""
+    value, err, resasc = _gk21(f, a, b)
+    if err == 0.0 or (err <= max(epsabs, _EPSREL * abs(value)) and err != resasc):
         return value, err
     heap = [(-err, a, b, value)]
     area, errsum = value, err
     iroff1 = iroff2 = 0
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         neg_err, lo, hi, old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1, _, asc1 = _gk21(f, lo, mid)
-        v2, e2, _, asc2 = _gk21(f, mid, hi)
+        v1, e1, asc1 = _gk21(f, lo, mid)
+        v2, e2, asc2 = _gk21(f, mid, hi)
         area += v1 + v2 - old
         errsum += e1 + e2 + neg_err
         if asc1 != e1 and asc2 != e2:
@@ -93,10 +95,14 @@ def quad(
                 iroff2 += 1
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-        if errsum <= max(epsabs, epsrel * abs(area)):
+        if errsum <= max(epsabs, _EPSREL * abs(area)):
             break
-        if iroff1 >= 6 or iroff2 >= 20:  # roundoff stops the progress
+        if iroff1 >= 6 or iroff2 >= 20:
+            warnings.warn("roundoff stops the progress", IntegrationWarning, stacklevel=2)
             break
         if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
-            break  # the interval cannot be split further
+            warnings.warn("the interval cannot be split further", IntegrationWarning, stacklevel=2)
+            break
+    else:
+        warnings.warn(f"the limit of {_LIMIT} intervals is reached", IntegrationWarning, stacklevel=2)
     return math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap)

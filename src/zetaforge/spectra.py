@@ -620,9 +620,11 @@ def spectral_zeta_mellin(
 
     # [0, 1] with t = u^m, m = max(2, 1/(s-1)): Z(t) = O(1/t) as t -> 0 (the
     # reason s > 1 is needed), so the integrand m u^{m-1} t^{s-1} Z(t) stays
-    # bounded at u = 0.  Below u0, where t < t0 = 1.5e-154 (small enough to
-    # be flat in, far enough from the smallest double that Z(t) ~ 1/t cannot
-    # overflow), the integrand is flat to O(t) and is added as a rectangle.
+    # bounded at u = 0.  Below u0, where t < t0 = 1.5e-154 (far enough from
+    # the smallest double that Z(t) ~ 1/t cannot overflow), the piece is
+    # added as a rectangle: for s <= 1.5 (m = 1/(s-1)) the integrand is
+    # m t Z(t) e^{-tau t} there, constant to O(t); for s > 1.5 (m = 2) it is
+    # O(u^{2s-3}), and the whole piece is O(t0^{s-1}), below 1e-76.
     m = max(2.0, 1.0 / (s - 1.0))
     u0 = math.sqrt(sys.float_info.min) ** (1.0 / m)
 

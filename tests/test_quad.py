@@ -4,12 +4,14 @@ agreement with scipy.integrate.quad (a test oracle only) on the Borel and
 Mellin integrands."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from zetaforge._quad import _WG, _XGK, _gk21, quad
+from zetaforge._quad import _WG, _XGK, IntegrationWarning, _gk21, quad
 from zetaforge.resum import _borel_transform_fractional, borel_transform_hurwitz
 
 
@@ -56,20 +58,46 @@ CLOSED_FORMS += [
 
 @pytest.mark.parametrize("name,f,a,b,exact", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
 def test_closed_forms_within_abserr(name, f, a, b, exact):
-    value, abserr = quad(f, a, b, epsabs=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, abserr = quad(f, a, b, epsabs=1e-12)
     assert abs(value - exact) <= abserr
     assert abserr <= 1e-6 * max(1.0, abs(exact))
 
 
-def test_limit_one_is_the_plain_rule():
-    f = lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2)
-    assert quad(f, 0.0, 1.0, limit=1) == _gk21(f, 0.0, 1.0)[:2]
+def test_polynomial_takes_one_rule():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x**5 - 3.0 * x**2
+
+    assert quad(f, 0.0, 2.0, epsabs=1e-12) == _gk21(f, 0.0, 2.0)[:2]
+    assert len(calls) == 2 * 21
+
+
+STOPS = [
+    ("divergent", lambda x: 1.0 / x, 0.0, 1.0, 1e-12, "limit of 200"),
+    ("oscillating", lambda x: math.sin(1.0 / x) / x, 1e-6, 1.0, 1e-12, "limit of 200"),
+    ("near-underflow", lambda x: 1.0 / x, 0.0, 1e-300, 1e-12, "cannot be split"),
+    # a zero integral asked for below the 50 eps int|f| roundoff floor
+    ("below-roundoff", math.sin, 0.0, 2.0 * math.pi, 1e-20, "roundoff"),
+]
+
+
+@pytest.mark.parametrize("name,f,a,b,epsabs,reason", STOPS, ids=[c[0] for c in STOPS])
+def test_stopping_short_warns(name, f, a, b, epsabs, reason):
+    with pytest.warns(IntegrationWarning, match=reason):
+        value, abserr = quad(f, a, b, epsabs=epsabs)
+    assert abserr > epsabs
 
 
 # The integrands of resum and spectra, written out again: the Laplace
 # integral of the Borel transform below and above t = 1 (mapped by
 # t = 1 + u/(1-u)), its fractional-order form on [0, 5], and the Mellin
-# integral of the oscillator partition function (t = u^2 below 1).
+# integral of the oscillator partition function (t = u^m on [u0, 1], with
+# m = max(2, 1/(s-1)) and t0 = u0^m = sqrt of the smallest double, as in
+# spectral_zeta_mellin).
 def _borel_low(n, z):
     return lambda t: math.exp(-t / z) * borel_transform_hurwitz(n, t)
 
@@ -88,12 +116,20 @@ def _borel_fractional(s):
     return lambda t: math.exp(-t / 0.3) * _borel_transform_fractional(s, t)
 
 
+def _mellin_m(s):
+    return max(2.0, 1.0 / (s - 1.0))
+
+
+def _mellin_u0(s):
+    return math.sqrt(sys.float_info.min) ** (1.0 / _mellin_m(s))
+
+
 def _mellin_low(s, tau):
+    m = _mellin_m(s)
+
     def f(u):
-        t = u * u
-        if t == 0.0:
-            return 0.0
-        return 2.0 * u * t ** (s - 1.0) * qho_partition(t) * math.exp(-tau * t)
+        t = u**m
+        return m * u ** (m - 1.0) * t ** (s - 1.0) * qho_partition(t) * math.exp(-tau * t)
 
     return f
 
@@ -107,16 +143,20 @@ def _mellin_high(s, tau):
 
 
 INTEGRANDS = (
-    [(f"borel-low-{n}-{z}", _borel_low(n, z), 1.0) for n in (2, 4) for z in (0.2, 1.0)]
-    + [(f"borel-high-{n}-{z}", _borel_high(n, z), 1.0) for n in (2, 4) for z in (0.2, 1.0)]
-    + [(f"borel-fractional-{s}", _borel_fractional(s), 5.0) for s in (1.2, 1.7)]
-    + [(f"mellin-low-{s}-{tau}", _mellin_low(s, tau), 1.0) for s in (1.5, 2, 3) for tau in (0.0, 2.0)]
-    + [(f"mellin-high-{s}-{tau}", _mellin_high(s, tau), 1.0) for s in (2.0, 3.0) for tau in (0.5, 2.0)]
+    [(f"borel-low-{n}-{z}", _borel_low(n, z), 0.0, 1.0) for n in (2, 4) for z in (0.2, 1.0)]
+    + [(f"borel-high-{n}-{z}", _borel_high(n, z), 0.0, 1.0) for n in (2, 4) for z in (0.2, 1.0)]
+    + [(f"borel-fractional-{s}", _borel_fractional(s), 0.0, 5.0) for s in (1.2, 1.7)]
+    + [
+        (f"mellin-low-{s}-{tau}", _mellin_low(s, tau), _mellin_u0(s), 1.0)
+        for s in (1.05, 1.2, 1.5, 2, 3)
+        for tau in (0.0, 2.0)
+    ]
+    + [(f"mellin-high-{s}-{tau}", _mellin_high(s, tau), 0.0, 1.0) for s in (2.0, 3.0) for tau in (0.5, 2.0)]
 )
 
 
-@pytest.mark.parametrize("name,f,b", INTEGRANDS, ids=[i[0] for i in INTEGRANDS])
-def test_agrees_with_scipy_quad(name, f, b):
-    value, abserr = quad(f, 0.0, b, epsabs=1e-12)
-    ref, ref_err = integrate.quad(f, 0.0, b, epsabs=1e-12, limit=200)
+@pytest.mark.parametrize("name,f,a,b", INTEGRANDS, ids=[i[0] for i in INTEGRANDS])
+def test_agrees_with_scipy_quad(name, f, a, b):
+    value, abserr = quad(f, a, b, epsabs=1e-12)
+    ref, ref_err = integrate.quad(f, a, b, epsabs=1e-12, limit=200)
     assert abs(value - ref) <= abserr + ref_err
