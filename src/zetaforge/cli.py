@@ -496,13 +496,11 @@ def _verify_all(budget: str, seed: int) -> tuple:
 
     # series operators
     order = cfg["order"]
-    tj2 = series.PowerSeriesRat(tuple(aperynum.tj_table(2, order + 2)))
+    tj2 = series.power_series(aperynum.tj_table(2, order + 2))
     ladder_zero = series.apply_ladder_D(tj2).is_zero()
     f = series.hypergeom_2f1_series(F(1, 2), F(1, 2), 1, order // 2 + 1)
-    sq = [F(0)] * (2 * (order // 2 + 1) + 1)
-    for i, c in enumerate(f.coeffs):
-        sq[2 * i] = c
-    pf_zero = series.apply_picard_fuchs_L(series.PowerSeriesRat(tuple(sq))).is_zero()
+    sq = series.QSeries({2 * e: c for e, c in f.coeffs.items()}, 2 * f.max24)  # f(T^2)
+    pf_zero = series.apply_picard_fuchs_L(sq).is_zero()
     record("series-operators", ladder_zero and pf_zero, order=order)
 
     # w2 identity + jacobi

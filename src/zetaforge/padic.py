@@ -118,10 +118,6 @@ class Padic:
         unit = (num * pow(den, -1, modulus)) % modulus
         return cls(p, v, unit, prec)
 
-    @classmethod
-    def zero(cls, p: int, prec: int = 20) -> "Padic":
-        return cls(p, 0, 0, prec)
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -372,74 +368,48 @@ def _require_outside_zp(tau: Padic) -> None:
 
 
 def padic_hurwitz_zeta(
-    s: int, tau, p: Optional[int] = None, K: Optional[int] = None, prec: int = 20
+    s: int, tau, p: int, K: Optional[int] = None, prec: int = 20
 ) -> Padic:
     """zeta_p(s, tau) = (<tau>^{1-s}/(s-1)) sum_k C(1-s, k) B_k tau^{-k}
-    for integer s != 1 and |tau|_p > 1.
+    for integer s != 1 and rational tau with |tau|_p > 1.
 
-    ``tau`` may be a Padic or a rational (then ``p`` is required).  The sum
-    is truncated at K with a certified tail: term k has valuation at least
-    k*|v(tau)| - 1, so K defaults to enough terms for the requested
-    precision.  The rational part of the series is accumulated exactly.
+    The sum is truncated at K with a certified tail: term k has valuation
+    at least k*|v(tau)| - 1, so K defaults to enough terms for the requested
+    precision.  The series is accumulated exactly in the rationals.
     """
-    if isinstance(tau, Padic):
-        tau_p = tau.p
-        tau_rat = None
-        tau_padic = tau
-    else:
-        if p is None:
-            raise ValueError("p required when tau is rational")
-        tau_p = p
-        tau_rat = Fraction(tau)
-        tau_padic = Padic.from_rational(tau_rat, p, prec)
+    tau_rat = Fraction(tau)
+    tau_padic = Padic.from_rational(tau_rat, p, prec)
     if s == 1:
         raise SAtOne("pole at s = 1")
     _require_outside_zp(tau_padic)
     a = -tau_padic.val  # per-term valuation gain, >= 1
     if K is None:
         K = max(10, (prec + 2) // a + 2)
-    # exact rational series when tau is rational; otherwise p-adic horner
-    if tau_rat is not None:
-        inv_tau = 1 / tau_rat
-        acc = Fraction(0)
-        tp = Fraction(1)
-        for k in range(K + 1):
-            acc += binom_general(1 - s, k) * bernoulli_number(k) * tp
-            tp *= inv_tau
-        series = Padic.from_rational(acc / (s - 1), tau_p, prec + max(0, -((K + 1) * tau_padic.val)))
-    else:
-        inv_tau = tau_padic.inverse()
-        acc = Padic.zero(tau_p, tau_padic.prec)
-        tp = Padic(tau_p, 0, 1, tau_padic.prec)
-        for k in range(K + 1):
-            c = Fraction(binom_general(1 - s, k) * bernoulli_number(k))
-            if c != 0:
-                acc = acc + Padic.from_rational(c, tau_p, tau_padic.prec) * tp
-            tp = tp * inv_tau
-        series = acc * Padic.from_rational(Fraction(1, s - 1), tau_p, tau_padic.prec)
+    inv_tau = 1 / tau_rat
+    acc = Fraction(0)
+    tp = Fraction(1)
+    for k in range(K + 1):
+        acc += binom_general(1 - s, k) * bernoulli_number(k) * tp
+        tp *= inv_tau
+    series = Padic.from_rational(acc / (s - 1), p, prec + max(0, (K + 1) * a))
     bracket = angle_bracket(tau_padic).pow_int(1 - s)
     result = bracket * series
     # certify: omitted terms have valuation >= (K+1) a - 1 relative to the
     # valuation of the bracket/(s-1) prefactor
-    tail_val = (K + 1) * a - 1 - padic_valuation(Fraction(s - 1), tau_p)
+    tail_val = (K + 1) * a - 1 - padic_valuation(Fraction(s - 1), p)
     certified = min(result.prec, tail_val - result.val + bracket.val)
     if certified < _MIN_DIGITS:
         raise PrecisionExhausted("certified tail below four digits; raise K")
-    return Padic(tau_p, result.val, result.unit % tau_p**certified, certified)
+    return Padic(p, result.val, result.unit % p**certified, certified)
 
 
 def padic_hurwitz_shifted(
-    s: int, tau, x, p: Optional[int] = None, prec: int = 20, K: Optional[int] = None
+    s: int, tau, x, p: int, prec: int = 20, K: Optional[int] = None
 ) -> Padic:
     """Shifted series zeta_p(s, tau + x) = (<tau>^{1-s}/(s-1))
-    sum_k C(1-s,k) B_k(x) tau^{-k}, requiring |tau|_p > max(1, |x|_p)."""
-    if p is None and isinstance(tau, Padic):
-        p = tau.p
-    if p is None:
-        raise ValueError("p required")
-    tau_rat = Fraction(tau) if not isinstance(tau, Padic) else None
-    if tau_rat is None:
-        raise ValueError("shifted route expects rational tau (exact series)")
+    sum_k C(1-s,k) B_k(x) tau^{-k} for rational tau and x, requiring
+    |tau|_p > max(1, |x|_p)."""
+    tau_rat = Fraction(tau)
     x = Fraction(x)
     if s == 1:
         raise SAtOne("pole at s = 1")

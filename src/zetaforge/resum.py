@@ -29,7 +29,6 @@ from .specval import hurwitz_zeta_num
 __all__ = [
     "QuadratureFailure",
     "OutOfStrip",
-    "FormalSeries",
     "BorelReport",
     "a_nj_closed",
     "fps_hurwitz",
@@ -47,32 +46,6 @@ class QuadratureFailure(Uncertified):
 
 class OutOfStrip(ValueError):
     """s outside the real strip 1 < s < 2 handled by the fractional route."""
-
-
-@dataclass
-class FormalSeries:
-    """Formal power series in 1/tau given by a coefficient rule.
-
-    ``term(k)`` returns the k-th term value; ``trace(K)`` the ledger of
-    (k, term, partial_sum) rows.  Terms are floats; sources that have exact
-    rational terms evaluate them exactly before conversion.
-    """
-
-    term_rule: Callable[[int], float]
-    variable: str = "INV_TAU"
-    source: str = ""
-
-    def term(self, k: int) -> float:
-        return self.term_rule(k)
-
-    def trace(self, K: int) -> list:
-        rows = []
-        partial = 0.0
-        for k in range(K + 1):
-            t = self.term(k)
-            partial += t
-            rows.append({"k": k, "term": t, "partial_sum": partial})
-        return rows
 
 
 @dataclass
@@ -107,6 +80,31 @@ def a_nj_closed(n: int, j: int, tau: float) -> float:
     return math.factorial(j + n - 2) / math.factorial(n - 1) * tau ** (-(j + n - 1))
 
 
+def _trace(rule: Callable[[int], float], K: int) -> list:
+    """Ledger [{k, term, partial_sum}], k = 0..K, of the formal series in
+    1/tau whose k-th term is rule(k); terms are floats, and sources with
+    exact rational terms evaluate them exactly before conversion."""
+    rows = []
+    partial = 0.0
+    for k in range(K + 1):
+        t = rule(k)
+        partial += t
+        rows.append({"k": k, "term": t, "partial_sum": partial})
+    return rows
+
+
+def _shifted_trace(n: int, tau: float, coeffs: Sequence[float], K: int) -> list:
+    """_trace of 2 sum_k (-1)^k c_k (k+n-2)!/(k! (n-1)!) tau^{-(k+n-1)}."""
+
+    def rule(k: int) -> float:
+        binom = math.factorial(k + n - 2) / (
+            math.factorial(k) * math.factorial(n - 1)
+        )
+        return 2.0 * (-1.0) ** k * float(coeffs[k]) * binom * tau ** (-(k + n - 1))
+
+    return _trace(rule, K)
+
+
 def fps_hurwitz(n: int, tau: float, K: int) -> list:
     """Divergence trace of the formal series for zeta(n, tau).
 
@@ -126,7 +124,7 @@ def fps_hurwitz(n: int, tau: float, K: int) -> list:
             return float(c / tau_f ** (k + n - 1))
         return float(c) * tau_f ** (-(k + n - 1))
 
-    return FormalSeries(rule, source="hurwitz-fps").trace(K)
+    return _trace(rule, K)
 
 
 def fps_qrm(n: int, tau: float, rb_values: Sequence[float], K: Optional[int] = None) -> list:
@@ -142,16 +140,7 @@ def fps_qrm(n: int, tau: float, rb_values: Sequence[float], K: Optional[int] = N
     kmax = K if K is not None else len(rb_values) - 1
     if kmax >= len(rb_values):
         raise ValueError("not enough rb values for requested truncation")
-
-    def rule(k: int) -> float:
-        binom = math.factorial(k + n - 2) / (
-            math.factorial(k) * math.factorial(n - 1)
-        )
-        return (
-            2.0 * (-1.0) ** k * float(rb_values[k]) * binom * tau ** (-(k + n - 1))
-        )
-
-    return FormalSeries(rule, source="qrm-fps").trace(kmax)
+    return _shifted_trace(n, tau, rb_values, kmax)
 
 
 def fps_ncho(n: int, tau: float, fit, K: Optional[int] = None) -> dict:
@@ -166,22 +155,11 @@ def fps_ncho(n: int, tau: float, fit, K: Optional[int] = None) -> dict:
         raise ValueError("need n >= 2")
     coeffs = [fit.c_minus1 / 2.0, 0.0]
     for c in fit.odd_coeffs:
-        m = len(coeffs) // 2 + 0  # next even index is len(coeffs)
-        k = len(coeffs)
+        k = len(coeffs)  # the next even index
         coeffs.append(math.factorial(k) * c / 2.0)
         coeffs.append(0.0)
     kmax = K if K is not None else len(coeffs) - 2
-
-    def rule(k: int) -> float:
-        binom = math.factorial(k + n - 2) / (
-            math.factorial(k) * math.factorial(n - 1)
-        )
-        return 2.0 * (-1.0) ** k * coeffs[k] * binom * tau ** (-(k + n - 1))
-
-    return {
-        "label": "conjecture-support",
-        "trace": FormalSeries(rule, source="ncho-fps").trace(kmax),
-    }
+    return {"label": "conjecture-support", "trace": _shifted_trace(n, tau, coeffs, kmax)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Truncated power series and q-expansions with exact rational coefficients.
+"""Truncated q-expansions with exact rational coefficients.
 
-Two representations:
+One ring, ``QSeries``: Laurent-bounded expansions on the exponent lattice
+(1/24)Z, which hosts Dedekind eta (1/24), the elliptic thetas (1/8, 1/2) and
+all of their quotients in a single exact grid.  Its whole exponents are the
+ordinary power series sum c_n z^n (``power_series``), with z in the place
+of q.  Each series carries the last exponent it guarantees; arithmetic
+never pretends to know coefficients past what the operands guarantee.
 
-* ``PowerSeriesRat`` — ordinary truncated series sum c_n z^n.  Truncation
-  orders are explicit; arithmetic never pretends to know coefficients past
-  what the operands guarantee.
-* ``QSeries`` — Laurent-bounded expansions on the exponent lattice (1/24)Z,
-  which hosts Dedekind eta (1/24), the elliptic thetas (1/8, 1/2) and all
-  of their quotients in a single exact grid.
-
-On top of these live the second-order operators of interest (the ladder
+On top of it live the second-order operators of interest (the ladder
 operator D and the Picard-Fuchs operator L), Gauss hypergeometric
 coefficient series, eta/theta expansions, the genus-zero hauptmodul, and
 the empirical verification of the weight-one q-series identity for the
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 GRID = 24
 # sentinel truncation bound for series that are exact (polynomials, constants)
@@ -33,7 +31,6 @@ __all__ = [
     "PoleInCoefficient",
     "NonInvertibleLeadingTerm",
     "NonvanishingInnerConstant",
-    "PowerSeriesRat",
     "LinearDiffOp",
     "LADDER_D",
     "PICARD_FUCHS_L",
@@ -41,6 +38,7 @@ __all__ = [
     "apply_picard_fuchs_L",
     "hypergeom_2f1_series",
     "QSeries",
+    "power_series",
     "eta_qseries",
     "eta_product_qseries",
     "theta_qseries",
@@ -71,196 +69,8 @@ class NonvanishingInnerConstant(ValueError):
     """Composition requires the inner series to vanish at the origin."""
 
 
-# ---------------------------------------------------------------------------
-# ordinary truncated power series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerSeriesRat:
-    """Truncated power series sum_{n<=order} coeffs[n] z^n with exact Rat
-    coefficients.  ``order`` is the last trustworthy exponent; arithmetic
-    truncates results so every emitted coefficient is exact.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> "PowerSeriesRat":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def constant(cls, value, order: int) -> "PowerSeriesRat":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
-
-    def coefficient(self, n: int) -> Fraction:
-        if n < 0 or n > self.order:
-            raise IndexError(f"coefficient {n} outside trusted order {self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "PowerSeriesRat":
-        if order > self.order:
-            raise OrderTooSmall(f"cannot extend order {self.order} to {order}")
-        return PowerSeriesRat(self.coeffs[: order + 1])
-
-    def __add__(self, other: "PowerSeriesRat") -> "PowerSeriesRat":
-        n = min(self.order, other.order)
-        return PowerSeriesRat(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __sub__(self, other: "PowerSeriesRat") -> "PowerSeriesRat":
-        n = min(self.order, other.order)
-        return PowerSeriesRat(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __neg__(self) -> "PowerSeriesRat":
-        return PowerSeriesRat(tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "PowerSeriesRat":
-        c = Fraction(c)
-        return PowerSeriesRat(tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other: "PowerSeriesRat") -> "PowerSeriesRat":
-        # two truncated series: coefficient n only needs inputs <= n, so the
-        # product is exact through min(order, order)
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeriesRat(tuple(out))
-
-    def mul_poly(self, poly: Sequence) -> "PowerSeriesRat":
-        """Multiply by an exact polynomial; the order is preserved."""
-        poly = [Fraction(c) for c in poly]
-        out = [Fraction(0)] * (self.order + 1)
-        for j, p in enumerate(poly):
-            if p == 0:
-                continue
-            for i in range(0, self.order + 1 - j):
-                c = self.coeffs[i]
-                if c != 0:
-                    out[i + j] += p * c
-        return PowerSeriesRat(tuple(out))
-
-    def differentiate(self) -> "PowerSeriesRat":
-        if self.order < 1:
-            raise OrderTooSmall("cannot differentiate an order-0 series")
-        return PowerSeriesRat(
-            tuple(n * self.coeffs[n] for n in range(1, self.order + 1))
-        )
-
-    def compose(self, inner: "PowerSeriesRat") -> "PowerSeriesRat":
-        """self(inner(z)) for inner with zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise NonvanishingInnerConstant("inner series must vanish at 0")
-        n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        # Horner from the top coefficient down
-        acc = PowerSeriesRat.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner_t
-            acc = PowerSeriesRat(
-                (acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:]
-            )
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_json_entries(self) -> list:
-        return [
-            {"exponent": str(n), "coefficient": _frac_str(c)}
-            for n, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-
-
 def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-
-
-# ---------------------------------------------------------------------------
-# second order operators c2 f'' + c1 f' + c0 f with polynomial coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearDiffOp:
-    """c2(z) d^2/dz^2 + c1(z) d/dz + c0(z) with exact polynomial coefficients."""
-
-    c0: tuple
-    c1: tuple
-    c2: tuple
-    name: str = ""
-
-    def apply(self, f: PowerSeriesRat) -> PowerSeriesRat:
-        if f.order < 2:
-            raise OrderTooSmall(f"operator {self.name or 'L'} needs order >= 2")
-        target = f.order - 2
-        d1 = f.differentiate()
-        d2 = d1.differentiate()
-        part2 = d2.mul_poly(self.c2).truncate(target)
-        part1 = d1.mul_poly(self.c1).truncate(target)
-        part0 = f.mul_poly(self.c0).truncate(target)
-        return part2 + part1 + part0
-
-
-# D = z(1-z)^2 d^2/dz^2 + (1-3z)(1-z) d/dz + (z - 3/4): maps the generating
-# function of the index-k Apery-like family to the index-(k-2) one.
-LADDER_D = LinearDiffOp(
-    c0=(Fraction(-3, 4), Fraction(1)),
-    c1=(Fraction(1), Fraction(-4), Fraction(3)),
-    c2=(Fraction(0), Fraction(1), Fraction(-2), Fraction(1)),
-    name="ladder-D",
-)
-
-# L = T(T^2-1) d^2/dT^2 + (3T^2-1) d/dT + T: annihilates 2F1(1/2,1/2;1;T^2).
-PICARD_FUCHS_L = LinearDiffOp(
-    c0=(Fraction(0), Fraction(1)),
-    c1=(Fraction(-1), Fraction(0), Fraction(3)),
-    c2=(Fraction(0), Fraction(-1), Fraction(0), Fraction(1)),
-    name="picard-fuchs-L",
-)
-
-
-def apply_ladder_D(f: PowerSeriesRat) -> PowerSeriesRat:
-    return LADDER_D.apply(f)
-
-
-def apply_picard_fuchs_L(f: PowerSeriesRat) -> PowerSeriesRat:
-    return PICARD_FUCHS_L.apply(f)
-
-
-def hypergeom_2f1_series(a, b, c, order: int) -> PowerSeriesRat:
-    """2F1(a,b;c;z) as an exact series: coefficients (a)_n (b)_n / ((c)_n n!)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for n in range(order):
-        den = (c + n) * (n + 1)
-        if den == 0:
-            raise PoleInCoefficient(f"(c)_n vanishes at n={n + 1} for c={c}")
-        term *= (a + n) * (b + n) / den
-        coeffs.append(term)
-    return PowerSeriesRat(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +93,9 @@ class QSeries:
     ``coeffs`` maps exponent*24 -> coefficient, stored as an int when it is
     integral (eta and theta products stay integer) and as a Fraction
     otherwise; ``max24`` is the last exponent (in 24ths) whose coefficient
-    is guaranteed correct.  Multiplication and inversion shrink ``max24``
-    exactly as the unknown tails dictate.
+    is guaranteed correct.  Multiplication, inversion and differentiation
+    shrink ``max24`` exactly as the unknown tails dictate; a polynomial
+    known exactly has the bound ``EXACT_BOUND``.
     """
 
     coeffs: dict
@@ -398,6 +209,13 @@ class QSeries:
         out = {step * i - m: bi * inv_lead for i, bi in enumerate(b)}
         return QSeries(out, rel_len - m)
 
+    def differentiate(self) -> "QSeries":
+        """d/dq: q^{e/24} becomes (e/24) q^{e/24 - 1}, trusted one step less."""
+        return QSeries(
+            {e - GRID: c * Fraction(e, GRID) for e, c in self.coeffs.items()},
+            self.max24 - GRID,
+        )
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -430,6 +248,80 @@ def _to_grid(exponent) -> int:
 
 def qseries_one(max24: int = EXACT_BOUND) -> QSeries:
     return QSeries({0: 1}, max24)
+
+
+def power_series(coeffs: Sequence) -> QSeries:
+    """sum_n coeffs[n] z^n as a QSeries in z = q, trusted through
+    z^{len(coeffs) - 1}."""
+    return QSeries({GRID * n: c for n, c in enumerate(coeffs)}, GRID * (len(coeffs) - 1))
+
+
+# ---------------------------------------------------------------------------
+# second order operators c2 f'' + c1 f' + c0 f with polynomial coefficients
+# ---------------------------------------------------------------------------
+
+
+def _polynomial(coeffs: Sequence) -> QSeries:
+    """sum_n coeffs[n] z^n, exact through every order."""
+    return QSeries(power_series(coeffs).coeffs, EXACT_BOUND)
+
+
+@dataclass(frozen=True)
+class LinearDiffOp:
+    """c2(z) d^2/dz^2 + c1(z) d/dz + c0(z) with exact polynomial coefficients."""
+
+    c0: tuple
+    c1: tuple
+    c2: tuple
+    name: str = ""
+
+    def apply(self, f: QSeries) -> QSeries:
+        if f.max24 < 2 * GRID:
+            raise OrderTooSmall(f"operator {self.name or 'L'} needs order >= 2")
+        d1 = f.differentiate()
+        d2 = d1.differentiate()
+        out = d2 * _polynomial(self.c2) + d1 * _polynomial(self.c1) + f * _polynomial(self.c0)
+        return out.truncate(f.max24 - 2 * GRID)
+
+
+# D = z(1-z)^2 d^2/dz^2 + (1-3z)(1-z) d/dz + (z - 3/4): maps the generating
+# function of the index-k Apery-like family to the index-(k-2) one.
+LADDER_D = LinearDiffOp(
+    c0=(Fraction(-3, 4), Fraction(1)),
+    c1=(Fraction(1), Fraction(-4), Fraction(3)),
+    c2=(Fraction(0), Fraction(1), Fraction(-2), Fraction(1)),
+    name="ladder-D",
+)
+
+# L = T(T^2-1) d^2/dT^2 + (3T^2-1) d/dT + T: annihilates 2F1(1/2,1/2;1;T^2).
+PICARD_FUCHS_L = LinearDiffOp(
+    c0=(Fraction(0), Fraction(1)),
+    c1=(Fraction(-1), Fraction(0), Fraction(3)),
+    c2=(Fraction(0), Fraction(-1), Fraction(0), Fraction(1)),
+    name="picard-fuchs-L",
+)
+
+
+def apply_ladder_D(f: QSeries) -> QSeries:
+    return LADDER_D.apply(f)
+
+
+def apply_picard_fuchs_L(f: QSeries) -> QSeries:
+    return PICARD_FUCHS_L.apply(f)
+
+
+def hypergeom_2f1_series(a, b, c, order: int) -> QSeries:
+    """2F1(a,b;c;z) as an exact series: coefficients (a)_n (b)_n / ((c)_n n!)."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    coeffs = [Fraction(1)]
+    term = Fraction(1)
+    for n in range(order):
+        den = (c + n) * (n + 1)
+        if den == 0:
+            raise PoleInCoefficient(f"(c)_n vanishes at n={n + 1} for c={c}")
+        term *= (a + n) * (b + n) / den
+        coeffs.append(term)
+    return power_series(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +446,11 @@ def hauptmodul_consistency_report(max_exponent) -> dict:
     }
 
 
-def compose_series(outer: PowerSeriesRat, inner: QSeries) -> QSeries:
-    """outer(inner(q)) for an inner q-series with strictly positive order."""
+def compose_series(outer: QSeries, inner: QSeries) -> QSeries:
+    """outer(inner(q)) for a power series ``outer`` in whole non-negative
+    exponents and an inner q-series with strictly positive order."""
+    if any(e < 0 or e % GRID for e in outer.coeffs):
+        raise ValueError("outer series must have whole non-negative exponents")
     if inner.is_zero():
         raise NonvanishingInnerConstant("inner series is identically zero")
     m = inner.min24
@@ -563,8 +458,9 @@ def compose_series(outer: PowerSeriesRat, inner: QSeries) -> QSeries:
         raise NonvanishingInnerConstant(
             "inner series must have strictly positive minimal exponent"
         )
-    bound, powers = _powers_through(inner, outer.order)
-    return _weighted_sum(outer.coeffs, powers, bound)
+    bound, powers = _powers_through(inner, outer.max24 // GRID)
+    weights = [outer.coeffs.get(GRID * n, 0) for n in range(len(powers))]
+    return _weighted_sum(weights, powers, bound)
 
 
 def _powers_through(inner: QSeries, order: int) -> tuple:
@@ -623,20 +519,12 @@ class W2Report:
         }
 
 
-def _tj2_series(order: int) -> PowerSeriesRat:
-    """sum_n tJ2(n) z^n, with tJ2(n) = sum_k (-1)^k C(-1/2,k)^2 C(n,k)."""
-    from . import aperynum  # local import; aperynum also consumes this module
-
-    table = aperynum.tj_table(2, order)
-    return PowerSeriesRat(tuple(table))
-
-
-def w2_hypergeometric_form(order: int) -> PowerSeriesRat:
+def w2_hypergeometric_form(order: int) -> QSeries:
     """(1-z)^{-1} 2F1(1/2,1/2;1; z/(z-1)) as an exact power series in z."""
     hyp = hypergeom_2f1_series(Fraction(1, 2), Fraction(1, 2), 1, order)
-    inner = PowerSeriesRat((Fraction(0),) + (Fraction(-1),) * order)  # z/(z-1)
-    geom = PowerSeriesRat((Fraction(1),) * (order + 1))  # 1/(1-z)
-    return hyp.compose(inner) * geom
+    inner = power_series([0] + [-1] * order)  # z/(z-1)
+    geom = power_series([1] * (order + 1))  # 1/(1-z)
+    return compose_series(hyp, inner) * geom
 
 
 def verify_w2_identity(max_exponent=20) -> W2Report:
@@ -646,14 +534,17 @@ def verify_w2_identity(max_exponent=20) -> W2Report:
 
     A mismatch is an outcome, not an error.
     """
+    from . import aperynum  # local import; aperynum also consumes this module
+
     max24 = _to_grid(max_exponent)
     order = max24 // GRID  # z has leading exponent q^1
-    lhs_coeffs = _tj2_series(order + 1)
+    # sum_n tJ2(n) z^n, with tJ2(n) = sum_k (-1)^k C(-1/2,k)^2 C(n,k)
+    tj2 = aperynum.tj_table(2, order + 1)
     rhs = eta_product_qseries({2: 22, 1: -12, 4: -8}, max_exponent)
 
     # each candidate is c z for the eta quotient z; as (c z)^n = c^n z^n,
     # the powers of z are formed once and c^n moves into the weights
-    z_bound, powers = _powers_through(hauptmodul_z(max_exponent), lhs_coeffs.order)
+    z_bound, powers = _powers_through(hauptmodul_z(max_exponent), len(tj2) - 1)
     candidates = [
         ("eta-as-printed", 1),
         ("eta-times-16", 16),
@@ -665,7 +556,7 @@ def verify_w2_identity(max_exponent=20) -> W2Report:
     matched_label = None
     matched_mismatch: Optional[Fraction] = None
     for label, c in candidates:
-        weights = [t * c**n for n, t in enumerate(lhs_coeffs.coeffs)]
+        weights = [t * c**n for n, t in enumerate(tj2)]
         lhs = _weighted_sum(weights, powers, z_bound)
         bound = min(lhs.max24, rhs.max24)
         diff = lhs.truncate(bound).first_difference(rhs.truncate(bound))

@@ -81,12 +81,15 @@ class NchoParams:
         return {"alpha": self.alpha, "beta": self.beta}
 
 
+_METHODS = ("MONTE_CARLO", "TENSOR_GAUSS")
+
+
 @dataclass
 class QuadratureResult:
     value: float
     std_error: float
     samples_or_nodes: int
-    method: str  # TENSOR_GAUSS | MONTE_CARLO | QMC
+    method: str  # MONTE_CARLO | TENSOR_GAUSS
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
@@ -289,6 +292,26 @@ def _rkj_integrand(k: int, j: int, kappa: float):
     return f
 
 
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, not {method!r}")
+
+
+def _cube_quadrature(
+    f, dim: int, method: str, budget: int, seed: int, stream: tuple
+) -> QuadratureResult:
+    """int over [0,1]^dim of f: tensor Gauss on about ``budget`` nodes, or
+    ``budget`` Monte Carlo samples from the Philox stream (op, params)."""
+    _check_method(method)
+    if method == "TENSOR_GAUSS":
+        n_axis = max(4, int(round(budget ** (1.0 / dim))))
+        val, nodes = _mc.tensor_gauss(f, dim, n_axis)
+        return QuadratureResult(val, 0.0, nodes, "TENSOR_GAUSS")
+    rng = _mc.philox_rng(*stream, seed)
+    mean, err, n = _mc.mc_mean(f, dim, budget, rng)
+    return QuadratureResult(mean, err, n, "MONTE_CARLO", seed=seed)
+
+
 def r_kj_quadrature(
     k: int,
     j: int,
@@ -308,13 +331,7 @@ def r_kj_quadrature(
     if (k, j) not in ((2, 1), (3, 1), (4, 1), (4, 2)):
         raise UnsupportedIndexPair(f"(k, j) = ({k}, {j}) not supported")
     f = _rkj_integrand(k, j, kappa)
-    if method == "TENSOR_GAUSS":
-        n_axis = max(4, int(round(budget ** (1.0 / k))))
-        val, nodes = _mc.tensor_gauss(f, k, n_axis)
-        return QuadratureResult(val, 0.0, nodes, "TENSOR_GAUSS")
-    rng = _mc.philox_rng("r_kj", (k, j, float(kappa)), seed)
-    mean, err, n = _mc.mc_mean(f, k, budget, rng)
-    return QuadratureResult(mean, err, n, "MONTE_CARLO", seed=seed)
+    return _cube_quadrature(f, k, method, budget, seed, ("r_kj", (k, j, float(kappa))))
 
 
 def zetaQ_special(
@@ -334,6 +351,7 @@ def zetaQ_special(
     """
     if k not in (2, 3, 4):
         raise UnsupportedIndexPair("assembled values available for k in 2..4")
+    _check_method(method)
     a, b = params.alpha, params.beta
     c = (a + b) / (2.0 * math.sqrt(a * b * (a * b - 1.0)))
     r2 = ((a - b) / (a + b)) ** 2
@@ -401,13 +419,7 @@ def appendixB_integral(
         base = (b + c) if which == "A" else b
         return base ** (n - m) * c**m / a ** (2 * n + 1) * jac
 
-    if method == "TENSOR_GAUSS":
-        n_axis = max(4, int(round(budget**0.25)))
-        val, nodes = _mc.tensor_gauss(f, 4, n_axis)
-        return QuadratureResult(val, 0.0, nodes, "TENSOR_GAUSS")
-    rng = _mc.philox_rng(f"appendixB-{which}", (n, m), seed)
-    mean, err, used = _mc.mc_mean(f, 4, budget, rng)
-    return QuadratureResult(mean, err, used, "MONTE_CARLO", seed=seed)
+    return _cube_quadrature(f, 4, method, budget, seed, (f"appendixB-{which}", (n, m)))
 
 
 def _pi_poly(c4: float, c2: float) -> float:

@@ -8,11 +8,11 @@ import pytest
 
 from zetaforge import aperynum, series
 from zetaforge.series import (
+    EXACT_BOUND,
     GRID,
     NonvanishingInnerConstant,
     OrderTooSmall,
     PoleInCoefficient,
-    PowerSeriesRat,
     QSeries,
     apply_ladder_D,
     apply_picard_fuchs_L,
@@ -23,12 +23,18 @@ from zetaforge.series import (
     hauptmodul_z,
     hypergeom_2f1_series,
     jacobi_theta_identity_check,
+    power_series,
     theta_qseries,
     verify_w2_identity,
     w2_hypergeometric_form,
 )
 
 F = Fraction
+
+
+def dense(s: QSeries) -> list:
+    """The coefficients of z^0 .. z^n of a power series trusted through z^n."""
+    return [s.coefficient(n) for n in range(s.max24 // GRID + 1)]
 
 
 def euler_product_eta(scale: int, max24: int) -> dict:
@@ -49,28 +55,37 @@ def euler_product_eta(scale: int, max24: int) -> dict:
 
 class TestPowerSeries:
     def test_mul_truncates_to_min_order(self):
-        a = PowerSeriesRat((1, 1, 1))
-        b = PowerSeriesRat((1, 2))
-        assert (a * b).order == 1
-        assert (a * b).coeffs == (1, 3)
+        a = power_series((1, 1, 1))
+        b = power_series((1, 2))
+        assert (a * b).max24 == GRID
+        assert dense(a * b) == [1, 3]
 
-    def test_mul_poly_keeps_order(self):
-        a = PowerSeriesRat((1, 1, 1))
-        out = a.mul_poly([0, 1])  # multiply by z
-        assert out.order == 2
-        assert out.coeffs == (0, 1, 1)
+    def test_mul_by_exact_z_gains_one_order(self):
+        # z (1 + z + z^2 + O(z^3)) is exact through z^3
+        a = power_series((1, 1, 1))
+        out = a * QSeries({GRID: 1}, EXACT_BOUND)
+        assert out.max24 == 3 * GRID
+        assert dense(out) == [0, 1, 1, 1]
 
     def test_differentiate(self):
-        a = PowerSeriesRat((5, 3, 2, 7))
-        assert a.differentiate().coeffs == (3, 4, 21)
+        a = power_series((5, 3, 2, 7))
+        assert a.differentiate().max24 == 2 * GRID
+        assert dense(a.differentiate()) == [3, 4, 21]
+
+    def test_differentiate_fractional_exponent(self):
+        # d/dq q^{1/2} = (1/2) q^{-1/2}, trusted one whole step less
+        d = QSeries({GRID // 2: 1}, 2 * GRID).differentiate()
+        assert d.coeffs == {-GRID // 2: F(1, 2)}
+        assert d.max24 == GRID
+        assert d.coefficient(F(-1, 2)) == F(1, 2)
 
     def test_compose_requires_zero_constant(self):
-        outer = PowerSeriesRat((1, 1))
+        outer = power_series((1, 1))
         with pytest.raises(NonvanishingInnerConstant):
-            outer.compose(PowerSeriesRat((1, 1)))
+            compose_series(outer, power_series((1, 1)))
 
     def test_json_entries(self):
-        a = PowerSeriesRat((F(1, 2), 0, F(3)))
+        a = power_series((F(1, 2), 0, F(3)))
         assert a.to_json_entries() == [
             {"exponent": "0", "coefficient": "1/2"},
             {"exponent": "2", "coefficient": "3"},
@@ -79,69 +94,67 @@ class TestPowerSeries:
 
 class TestLadderOperator:
     def test_constant(self):
-        out = apply_ladder_D(PowerSeriesRat.constant(F(5), 4))
-        assert out.coeffs == (F(-15, 4), F(5), F(0))
+        out = apply_ladder_D(power_series((F(5), 0, 0, 0, 0)))
+        assert out.max24 == 2 * GRID
+        assert dense(out) == [F(-15, 4), F(5), F(0)]
 
     def test_annihilates_tj2_series(self):
-        f = PowerSeriesRat(tuple(aperynum.tj_table(2, 42)))
+        f = power_series(aperynum.tj_table(2, 42))
         img = apply_ladder_D(f)
-        assert img.order == 40
+        assert img.max24 == 40 * GRID
         assert img.is_zero()
 
     def test_maps_j3_series_to_j1_series(self):
         # the rational J3 component is tJ3; the zeta(3,1/2) component is
         # 2 tJ2 and dies under D, so D acts componentwise
-        tj3 = PowerSeriesRat(tuple(aperynum.tj_table(3, 26)))
+        tj3 = power_series(aperynum.tj_table(3, 26))
         img = apply_ladder_D(tj3)
-        expected = [aperynum.aperylike_J(1, n).get("ONE") for n in range(img.order + 1)]
-        assert list(img.coeffs) == expected
-        assert apply_ladder_D(
-            PowerSeriesRat(tuple(aperynum.tj_table(2, 26)))
-        ).is_zero()
+        expected = [aperynum.aperylike_J(1, n).get("ONE") for n in range(img.max24 // GRID + 1)]
+        assert dense(img) == expected
+        assert apply_ladder_D(power_series(aperynum.tj_table(2, 26))).is_zero()
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_even_ladder_steps_down(self, k):
         # D(sum tJ_k z^n) = sum tJ_{k-2} z^n through order 40
-        src = PowerSeriesRat(tuple(aperynum.tj_table(k, 42)))
+        src = power_series(aperynum.tj_table(k, 42))
         img = apply_ladder_D(src)
         tgt = aperynum.tj_table(k - 2, 40)
-        assert list(img.coeffs) == tgt
+        assert dense(img) == tgt
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
-            apply_ladder_D(PowerSeriesRat((1, 2)))
+            apply_ladder_D(power_series((1, 2)))
 
 
 class TestPicardFuchs:
     def test_constant_and_linear(self):
-        assert apply_picard_fuchs_L(PowerSeriesRat.constant(1, 4)).coeffs == (0, 1, 0)
-        T = PowerSeriesRat((0, 1, 0, 0, 0))
-        assert apply_picard_fuchs_L(T).coeffs == (-1, 0, 4)
+        assert dense(apply_picard_fuchs_L(power_series((1, 0, 0, 0, 0)))) == [0, 1, 0]
+        T = power_series((0, 1, 0, 0, 0))
+        assert dense(apply_picard_fuchs_L(T)) == [-1, 0, 4]
 
     def test_annihilates_squared_argument_hypergeometric(self):
         f = hypergeom_2f1_series(F(1, 2), F(1, 2), 1, 30)
-        sq = [F(0)] * 61
-        for n, c in enumerate(f.coeffs):
-            sq[2 * n] = c
-        img = apply_picard_fuchs_L(PowerSeriesRat(tuple(sq)))
-        assert img.order == 58
+        sq = QSeries({2 * e: c for e, c in f.coeffs.items()}, 2 * f.max24)
+        img = apply_picard_fuchs_L(sq)
+        assert img.max24 == 58 * GRID
         assert img.is_zero()
 
 
 class TestHypergeometric:
     def test_coefficient_examples(self):
         h = hypergeom_2f1_series(1, 1, F(3, 2), 2)
-        assert h.coeffs == (1, F(2, 3), F(8, 15))
+        assert dense(h) == [1, F(2, 3), F(8, 15)]
         h2 = hypergeom_2f1_series(F(1, 2), F(1, 2), 1, 2)
-        assert h2.coeffs == (1, F(1, 4), F(9, 64))
-        assert hypergeom_2f1_series(3, 4, 5, 0).coeffs == (1,)
+        assert dense(h2) == [1, F(1, 4), F(9, 64)]
+        assert dense(hypergeom_2f1_series(3, 4, 5, 0)) == [1]
 
     def test_central_binomial_form(self):
         # [z^n] 2F1(1/2,1/2;1;z) = (C(2n,n)/4^n)^2
         from math import comb
 
         h = hypergeom_2f1_series(F(1, 2), F(1, 2), 1, 10)
-        for n, c in enumerate(h.coeffs):
+        assert h.max24 == 10 * GRID
+        for n, c in enumerate(dense(h)):
             assert c == F(comb(2 * n, n), 4**n) ** 2
 
     def test_pole_in_coefficient(self):
@@ -246,19 +259,19 @@ class TestHauptmodul:
 class TestCompose:
     def test_identity_outer(self):
         inner = eta_qseries(1, 8, 6)
-        outer = PowerSeriesRat((0, 1, 0, 0, 0, 0))
+        outer = power_series((0, 1, 0, 0, 0, 0))
         out = compose_series(outer, inner)
         bound = min(out.max24, inner.max24)
         assert out.truncate(bound).coeffs == inner.truncate(bound).coeffs
 
     def test_affine_outer(self):
         inner = QSeries({24: F(1)}, 24 * 6)
-        out = compose_series(PowerSeriesRat((1, 1, 0)), inner)
+        out = compose_series(power_series((1, 1, 0)), inner)
         assert out.coefficient(0) == 1 and out.coefficient(1) == 1
 
     def test_respects_multiplication(self):
-        f = PowerSeriesRat((1, 2, F(1, 3), 0, 5))
-        g = PowerSeriesRat((2, 0, 1, 4, 0))
+        f = power_series((1, 2, F(1, 3), 0, 5))
+        g = power_series((2, 0, 1, 4, 0))
         h = hauptmodul_z(4)
         lhs = compose_series(f * g, h)
         rhs = compose_series(f, h) * compose_series(g, h)
@@ -267,14 +280,23 @@ class TestCompose:
 
     def test_rejects_constant_term(self):
         with pytest.raises(NonvanishingInnerConstant):
-            compose_series(PowerSeriesRat((1, 1)), QSeries({0: F(1)}, 48))
+            compose_series(power_series((1, 1)), QSeries({0: F(1)}, 48))
+
+    @pytest.mark.parametrize("exponent", [GRID // 2, -GRID])
+    def test_rejects_outer_off_whole_exponents(self, exponent):
+        # outer(inner) reads outer's coefficients at whole powers only; a
+        # term at q^{1/2} or q^{-1} would be dropped without a word
+        outer = QSeries({0: 1, exponent: 1}, 4 * GRID)
+        with pytest.raises(ValueError, match="outer"):
+            compose_series(outer, hauptmodul_z(4))
 
 
 class TestW2Identity:
     def test_hypergeometric_intermediate_form(self):
         # (1/(1-z)) 2F1(1/2,1/2;1;z/(z-1)) = sum tJ2(n) z^n through order 40
         w = w2_hypergeometric_form(40)
-        assert list(w.coeffs) == aperynum.tj_table(2, 40)
+        assert w.max24 == 40 * GRID
+        assert dense(w) == aperynum.tj_table(2, 40)
 
     def test_identity_matches_under_exactly_one_convention(self):
         rep = verify_w2_identity(10)

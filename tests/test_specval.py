@@ -194,6 +194,21 @@ class TestRkjQuadrature:
         with pytest.raises(UnsupportedIndexPair):
             r_kj_quadrature(3, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: r_kj_quadrature(2, 1, 0.5, method="QMC", budget=1000),
+            lambda: appendixB_integral("A", 0, 0, budget=1000, method="QMC"),
+            # r = 0 needs no quadrature, and still names no unknown method
+            lambda: zetaQ_special(2, NchoParams(1.5, 1.5), budget=1000, method="QMC"),
+            lambda: zetaQ_special(3, NchoParams(2.2, 1.3), budget=1000, method="monte_carlo"),
+        ],
+        ids=["r_kj", "appendixB", "zetaQ-r0", "zetaQ"],
+    )
+    def test_unknown_method_rejected(self, call):
+        with pytest.raises(ValueError, match="method"):
+            call()
+
     def test_determinism(self):
         a = r_kj_quadrature(2, 1, 0.3, budget=50_000, seed=42)
         b = r_kj_quadrature(2, 1, 0.3, budget=50_000, seed=42)
