@@ -14,6 +14,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+_BATCH = 1 << 18
+
 
 def philox_rng(op: str, params: tuple, seed: int) -> np.random.Generator:
     """Deterministic generator keyed by (op, params, seed)."""
@@ -27,19 +29,18 @@ def mc_mean(
     dim: int,
     samples: int,
     rng: np.random.Generator,
-    batch: int = 1 << 18,
 ) -> Tuple[float, float, int]:
     """Mean and standard error of f over the unit cube [0,1]^dim.
 
     ``f`` maps an (m, dim) array to an (m,) array.  Returns
-    (mean, std_error, n_used).  Each batch contributes its count, mean and
-    sum of squared deviations M2, merged in batch order with the pairwise
-    update of Chan, Golub and LeVeque, so a large mean does not cancel the
-    variance away.
+    (mean, std_error, n_used).  Each batch of up to ``_BATCH`` samples
+    contributes its count, mean and sum of squared deviations M2, merged in
+    batch order with the pairwise update of Chan, Golub and LeVeque, so a
+    large mean does not cancel the variance away.
     """
     n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < samples:
-        m = min(batch, samples - n_done)
+        m = min(_BATCH, samples - n_done)
         vals = f(rng.random((m, dim)))
         b_mean = float(np.mean(vals))
         b_m2 = float(np.sum((vals - b_mean) ** 2))
@@ -63,12 +64,10 @@ def tensor_gauss(
 ) -> Tuple[float, int]:
     """Tensor-product Gauss-Legendre integral of f over [0,1]^dim.
 
-    Evaluates in slabs over the leading axes so dim = 4 stays in memory.
+    Evaluates in slabs over the leading axes so dim = 4 stays in memory;
+    needs dim >= 2.
     """
     x, w = gauss_legendre_unit(nodes_per_axis)
-    if dim == 1:
-        pts = x[:, None]
-        return float(np.dot(w, f(pts))), nodes_per_axis
     grids = np.meshgrid(*([x] * (dim - 1)), indexing="ij")
     wgrid = np.ones_like(grids[0])
     for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):

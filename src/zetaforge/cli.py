@@ -61,10 +61,6 @@ def _fr(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _parse_rat(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _jsonify(obj):
     """Recursive canonicalization: Fractions to 'num/den' strings."""
     if isinstance(obj, Fraction):
@@ -78,9 +74,10 @@ def _jsonify(obj):
     return obj
 
 
-def emit(report, fmt: str, meta: bool, stream=None) -> None:
-    """Serialize a report dict (or trace list) to the requested format."""
-    stream = stream or sys.stdout
+def emit(report, fmt: str, meta: bool) -> None:
+    """Serialize a report dict (or trace list) to stdout in the requested
+    format."""
+    stream = sys.stdout
     payload = _jsonify(report)
     if meta:
         if isinstance(payload, dict):
@@ -129,11 +126,25 @@ def _emit_plain(payload, stream, indent: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _ncho_params(args, op: str):
+    """NchoParams from the optional --alpha and --beta flags of ``op``."""
+    from . import specval
+
+    if args.alpha is None or args.beta is None:
+        raise ValueError(f"--alpha and --beta are required for {op}")
+    return specval.NchoParams(args.alpha, args.beta)
+
+
+def _qho_partition(t: float) -> float:
+    """Oscillator partition function Z(t) = e^{-t/2} / (1 - e^{-t})."""
+    return math.exp(-t / 2) / -math.expm1(-t)
+
+
 def _cmd_bernoulli(args):
     from . import exact
 
     if args.poly_x is not None:
-        val = exact.bernoulli_poly(args.k, _parse_rat(args.poly_x))
+        val = exact.bernoulli_poly(args.k, Fraction(args.poly_x))
         return {"op": "bernoulli_poly", "k": args.k, "x": args.poly_x, "value": val}, True
     val = exact.bernoulli_number(args.k)
     if args.format == "plain":
@@ -233,9 +244,7 @@ def _cmd_special_values(args):
 
     p = None
     if args.op in ("zetaQ", "zetaQ2-closed"):
-        if args.alpha is None or args.beta is None:
-            raise ValueError(f"--alpha and --beta are required for {args.op}")
-        p = specval.NchoParams(args.alpha, args.beta)
+        p = _ncho_params(args, args.op)
     if args.op == "zetaQ2-closed":
         return {
             "op": "zetaQ2_closed",
@@ -243,7 +252,9 @@ def _cmd_special_values(args):
             "value": specval.zetaQ2_closed(p),
         }, True
     if args.op == "zetaQ":
-        res = specval.zetaQ_special(args.k, p, budget=args.samples, seed=args.seed)
+        res = specval.zetaQ_special(
+            args.k, p, budget=args.samples, seed=args.seed, method=args.method
+        )
         return {"op": "zetaQ_special", "k": args.k, "params": p.as_dict(), **res.to_dict()}, True
     if args.op == "rkj":
         res = specval.r_kj_quadrature(
@@ -262,7 +273,8 @@ def _cmd_special_values(args):
         }, True
     if args.op == "appendixB":
         res = specval.appendixB_integral(
-            args.which, args.n, args.j, budget=args.samples, seed=args.seed
+            args.which, args.n, args.j, budget=args.samples, seed=args.seed,
+            method=args.method,
         )
         return {"op": "appendixB", "which": args.which, "n": args.n, "index": args.j, **res.to_dict()}, True
     # r42 series
@@ -297,13 +309,13 @@ def _cmd_qrm_spectrum(args):
 
 
 def _cmd_partition(args):
-    from . import spectra, specval
+    from . import spectra
 
     if args.model == "qho":
         spec = spectra.qho_spectrum(args.count)
     elif args.model == "ncho":
         spec = spectra.ncho_eigs(
-            specval.NchoParams(args.alpha, args.beta),
+            _ncho_params(args, "--model ncho"),
             N=args.n_basis, count=args.count, threshold=args.threshold,
         )
     else:
@@ -326,7 +338,7 @@ def _cmd_quasi_partition(args):
 
     vals = spectra.qho_quasi_partition_values(args.K)
     value = spectra.quasi_partition(vals, 1.0, args.t)
-    exact = math.exp(-args.t / 2) / -math.expm1(-args.t)
+    exact = _qho_partition(args.t)
     return {
         "op": "quasi_partition",
         "model": "qho",
@@ -364,11 +376,11 @@ def _cmd_mellin_zeta(args):
     from . import spectra, specval
 
     if args.model == "qho":
-        Z = lambda t: math.exp(-t / 2) / -math.expm1(-t)
-        val = spectra.spectral_zeta_mellin(Z, args.s, args.tau)
+        val = spectra.spectral_zeta_mellin(_qho_partition, args.s, args.tau)
         ref = float(specval.hurwitz_zeta_num(args.s, 0.5 + args.tau))
     else:
-        q = spectra.QrmParams(args.g, args.delta, args.eps)
+        # no bias: the small-t model below is the unbiased Rabi-Bernoulli table
+        q = spectra.QrmParams(args.g, args.delta)
         spec = spectra.qrm_eigs(
             q, N=args.n_basis, count=args.count, threshold=1e-3,
         )
@@ -410,13 +422,11 @@ def _cmd_borel(args):
 
 
 def _cmd_divergence(args):
-    from . import resum
-
     if args.padic_p:
         from . import padic as padic_mod
 
         rep = padic_mod.padic_divergence_report(
-            args.n, _parse_rat(args.tau), args.padic_p, args.K
+            args.n, Fraction(args.tau), args.padic_p, args.K
         )
         out = {
             "op": "padic_divergence",
@@ -428,6 +438,8 @@ def _cmd_divergence(args):
             "rows": rep["rows"],
         }
         return out, rep["sum_matches_normalized_zeta"]
+    from . import resum
+
     rows = resum.fps_hurwitz(args.n, float(Fraction(args.tau)), args.K)
     return rows, True
 
@@ -436,7 +448,7 @@ def _cmd_padic_zeta(args):
     from . import padic as padic_mod
 
     z = padic_mod.padic_hurwitz_zeta(
-        args.s, _parse_rat(args.tau), p=args.p, prec=args.prec
+        args.s, Fraction(args.tau), p=args.p, prec=args.prec
     )
     out = z.to_dict()
     out["op"] = "padic_zeta"
@@ -539,7 +551,7 @@ def _verify_all(budget: str, seed: int) -> tuple:
     # quasi-partition (qho)
     vals = spectra.qho_quasi_partition_values(30)
     qp = spectra.quasi_partition(vals, 1.0, 0.5)
-    ok = abs(qp - math.exp(-0.25) / -math.expm1(-0.5)) < 1e-10
+    ok = abs(qp - _qho_partition(0.5)) < 1e-10
     record("qho-quasi-partition", ok, t=0.5, K=30)
 
     # spectra: exact reductions + bounds
@@ -750,7 +762,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--n-basis", type=int, default=768)
     p.add_argument("--count", type=int, default=380)
     p.set_defaults(handler=_cmd_mellin_zeta)

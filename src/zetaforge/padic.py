@@ -35,7 +35,6 @@ __all__ = [
     "DomainViolated",
     "PrecisionExhausted",
     "Padic",
-    "PadicContext",
     "teichmuller",
     "angle_bracket",
     "omega_extended",
@@ -144,11 +143,12 @@ class Padic:
             "precision": self.prec,
         }
 
-    def expansion_str(self, show: int = 8) -> str:
+    def expansion_str(self) -> str:
+        """The first eight digits as a sum of powers of p, plus O(p^N)."""
         if self.is_zero():
             return f"O({self.p}^{self.prec})"
         parts = []
-        for i, d in enumerate(self.digits(min(show, self.prec))):
+        for i, d in enumerate(self.digits(min(8, self.prec))):
             if d:
                 e = self.val + i
                 parts.append(f"{d}*{self.p}^{e}" if e != 0 else f"{d}")
@@ -259,30 +259,6 @@ class Padic:
         return (lhs - rhs) % modulus == 0
 
 
-@dataclass
-class PadicContext:
-    """Shared prime/precision plus a lazily filled Teichmuller table."""
-
-    p: int
-    prec: int = 20
-
-    def __post_init__(self):
-        if not _is_odd_prime(self.p):
-            raise ValueError("p must be an odd prime")
-        self._teich: dict = {}
-
-    def from_rational(self, x) -> Padic:
-        return Padic.from_rational(x, self.p, self.prec)
-
-    def teichmuller_of_residue(self, r: int) -> Padic:
-        r %= self.p
-        if r == 0:
-            raise NotAUnit("no Teichmuller lift for residue 0")
-        if r not in self._teich:
-            self._teich[r] = teichmuller(Padic(self.p, 0, r, self.prec))
-        return self._teich[r]
-
-
 def teichmuller(u: Padic) -> Padic:
     """The (p-1)-st root of unity congruent to u mod p, via the fixed point
     of x -> x^p at working precision."""
@@ -331,13 +307,11 @@ def _power_sum(j: int, M: int) -> Fraction:
     return (bernoulli_poly(j + 1, M) - bernoulli_number(j + 1)) / (j + 1)
 
 
-def volkenborn_poly(
-    coeffs: Sequence, p: int, r_max: int, prec: int = 20
-) -> Tuple[list, list]:
+def volkenborn_poly(coeffs: Sequence, p: int, r_max: int) -> Tuple[list, list]:
     """Volkenborn approximants (1/p^r) sum_{k<p^r} f(k) for a polynomial f
     given by rational coefficients (ascending powers), r = 1..r_max.
 
-    Returns (approximants as Padic, valuations of successive differences);
+    Returns (approximants as Padic to 20 digits, valuations of successive differences);
     the exact average is computed with closed-form power sums, so deep
     levels cost nothing.
     """
@@ -349,7 +323,7 @@ def volkenborn_poly(
         total = sum((c * _power_sum(j, M) for j, c in enumerate(coeffs)), Fraction(0))
         value = total / M
         exact_values.append(value)
-        approx.append(Padic.from_rational(value, p, prec))
+        approx.append(Padic.from_rational(value, p, 20))
     gains = []
     for r in range(1, len(exact_values)):
         diff = exact_values[r] - exact_values[r - 1]
@@ -403,9 +377,7 @@ def padic_hurwitz_zeta(
     return Padic(p, result.val, result.unit % p**certified, certified)
 
 
-def padic_hurwitz_shifted(
-    s: int, tau, x, p: int, prec: int = 20, K: Optional[int] = None
-) -> Padic:
+def padic_hurwitz_shifted(s: int, tau, x, p: int, prec: int = 20) -> Padic:
     """Shifted series zeta_p(s, tau + x) = (<tau>^{1-s}/(s-1))
     sum_k C(1-s,k) B_k(x) tau^{-k} for rational tau and x, requiring
     |tau|_p > max(1, |x|_p)."""
@@ -420,8 +392,7 @@ def padic_hurwitz_shifted(
         if not tau_padic.val < vx:
             raise DomainViolated("need |tau|_p > |x|_p")
     a = -tau_padic.val
-    if K is None:
-        K = max(10, (prec + 2) // a + 2)
+    K = max(10, (prec + 2) // a + 2)
     inv_tau = 1 / tau_rat
     acc = Fraction(0)
     tp = Fraction(1)
@@ -434,25 +405,24 @@ def padic_hurwitz_shifted(
     tail_val = (K + 1) * a - 1 - padic_valuation(Fraction(s - 1), p)
     certified = min(result.prec, tail_val - result.val + bracket.val)
     if certified < _MIN_DIGITS:
-        raise PrecisionExhausted("certified tail below four digits; raise K")
+        raise PrecisionExhausted("certified tail below four digits; raise prec")
     return Padic(p, result.val, result.unit % p**certified, certified)
 
 
-def padic_divergence_report(
-    n: int, tau, p: int, K: int, prec: int = 20
-) -> dict:
+def padic_divergence_report(n: int, tau, p: int, K: int) -> dict:
     """Valuation ledger of the formal series for zeta(n, tau) read p-adically:
 
     term_k = (-1)^k B_k/k! (k+n-2)!/(n-1)! tau^{-(k+n-1)}.
 
-    Reports term valuations (eventually strictly increasing), the partial
-    sums, the stabilized p-adic value, and the normalization factor
-    (tau/<tau>)^{1-n} = (p^v omega(u))^{1-n} linking the plain sum to
-    zeta_p(n, tau).
+    Reports, at 20 digits of precision, term valuations (eventually
+    strictly increasing), the partial sums, the stabilized p-adic value, and
+    the normalization factor (tau/<tau>)^{1-n} = (p^v omega(u))^{1-n}
+    linking the plain sum to zeta_p(n, tau).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     tau_rat = Fraction(tau)
+    prec = 20
     tau_padic = Padic.from_rational(tau_rat, p, prec)
     _require_outside_zp(tau_padic)
     rows = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import Uncertified
@@ -82,8 +81,7 @@ def a_nj_closed(n: int, j: int, tau: float) -> float:
 
 def _trace(rule: Callable[[int], float], K: int) -> list:
     """Ledger [{k, term, partial_sum}], k = 0..K, of the formal series in
-    1/tau whose k-th term is rule(k); terms are floats, and sources with
-    exact rational terms evaluate them exactly before conversion."""
+    1/tau whose k-th term is the float rule(k)."""
     rows = []
     partial = 0.0
     for k in range(K + 1):
@@ -95,6 +93,8 @@ def _trace(rule: Callable[[int], float], K: int) -> list:
 
 def _shifted_trace(n: int, tau: float, coeffs: Sequence[float], K: int) -> list:
     """_trace of 2 sum_k (-1)^k c_k (k+n-2)!/(k! (n-1)!) tau^{-(k+n-1)}."""
+    if n < 2:
+        raise ValueError("need n >= 2")
 
     def rule(k: int) -> float:
         binom = math.factorial(k + n - 2) / (
@@ -116,31 +116,22 @@ def fps_hurwitz(n: int, tau: float, K: int) -> list:
         raise ValueError("need n >= 2")
     if K < 1:
         raise ValueError("need K >= 1")
-    tau_f = Fraction(tau) if not isinstance(tau, float) else tau
 
     def rule(k: int) -> float:
-        c = _fps_coeff(k, n)
-        if isinstance(tau_f, Fraction):
-            return float(c / tau_f ** (k + n - 1))
-        return float(c) * tau_f ** (-(k + n - 1))
+        return float(_fps_coeff(k, n)) * tau ** (-(k + n - 1))
 
     return _trace(rule, K)
 
 
-def fps_qrm(n: int, tau: float, rb_values: Sequence[float], K: Optional[int] = None) -> list:
+def fps_qrm(n: int, tau: float, rb_values: Sequence[float]) -> list:
     """Divergence trace for the shifted Rabi-model zeta:
 
     2 sum_k (-1)^k rb_k/k! (k+n-2)!/(n-1)! tau^{-(k+n-1)},
 
-    with rb_k the Taylor coefficients of t Z(t)/2 at tau = 0 (exact for
-    k <= 2, numeric beyond).
+    over every given rb_k, the Taylor coefficients of t Z(t)/2 at tau = 0
+    (exact for k <= 2, numeric beyond).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    kmax = K if K is not None else len(rb_values) - 1
-    if kmax >= len(rb_values):
-        raise ValueError("not enough rb values for requested truncation")
-    return _shifted_trace(n, tau, rb_values, kmax)
+    return _shifted_trace(n, tau, rb_values, len(rb_values) - 1)
 
 
 def fps_ncho(n: int, tau: float, fit, K: Optional[int] = None) -> dict:
@@ -151,8 +142,6 @@ def fps_ncho(n: int, tau: float, fit, K: Optional[int] = None) -> dict:
     Output is labeled conjecture-support: it presumes the quasi-partition
     gives the partition function, which is unproven for this model.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     coeffs = [fit.c_minus1 / 2.0, 0.0]
     for c in fit.odd_coeffs:
         k = len(coeffs)  # the next even index
@@ -238,7 +227,7 @@ def borel_seam_gap(n: int) -> float:
     return abs(_borel_small_t(n, _SEAM) - _borel_large_t(n, _SEAM))
 
 
-def borel_sum_hurwitz(n: int, z: float, tolerance: float = 1e-8) -> BorelReport:
+def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     """Borel sum (1/z) int_0^inf e^{-t/z} B(t) dt against the reference
     z^{1-n} zeta(n, 1/z)."""
     if n < 2:
@@ -266,7 +255,7 @@ def borel_sum_hurwitz(n: int, z: float, tolerance: float = 1e-8) -> BorelReport:
     value = (low + high) / z
     qerr = (err_low + err_high) / z
     reference = z ** (1 - n) * float(hurwitz_zeta_num(n, 1.0 / z))
-    tol = max(tolerance, 3.0 * qerr)
+    tol = max(1e-8, 3.0 * qerr)
     return BorelReport(
         z=z,
         borel_sum=value,
@@ -325,9 +314,9 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
     return pref * val, abs(pref) * err
 
 
-def _borel_transform_fractional(s: float, t: float, kmax: int = 400) -> float:
+def _borel_transform_fractional(s: float, t: float) -> float:
     """sum_k (-1)^k B_k Gamma(k+s-1)/(Gamma(k+1)^2 Gamma(s)) t^k,
-    convergent for |t| < 2 pi.
+    convergent for |t| < 2 pi, summed over k < 400.
 
     Term magnitudes are assembled in log space (|B_k| grows factorially and
     would overflow double precision long before the partial sums settle
@@ -337,7 +326,7 @@ def _borel_transform_fractional(s: float, t: float, kmax: int = 400) -> float:
     total = 0.0
     lg_s = math.lgamma(s)
     log_t = math.log(t)
-    for k in range(kmax):
+    for k in range(400):
         b = bernoulli_number(k)
         if b == 0:
             continue
@@ -372,7 +361,7 @@ def _borel_sum_fractional_laplace(s: float, z: float) -> tuple:
     return val / z, err / z + tail / z
 
 
-def borel_sum_complex_s(s, z: float, tolerance: float = 1e-6) -> BorelReport:
+def borel_sum_complex_s(s, z: float) -> BorelReport:
     """Borel sum of the fractional-order formal series, 1 < s < 2.
 
     Two independent numeric routes: the endpoint-weighted x-integral and the
@@ -384,7 +373,7 @@ def borel_sum_complex_s(s, z: float, tolerance: float = 1e-6) -> BorelReport:
         raise ValueError("z must be positive")
     v1, e1 = _borel_sum_fractional_xroute(s, z)
     v2, e2 = _borel_sum_fractional_laplace(s, z)
-    tol = max(tolerance, 3.0 * (e1 + e2))
+    tol = max(1e-6, 3.0 * (e1 + e2))
     return BorelReport(
         z=z,
         borel_sum=v1,

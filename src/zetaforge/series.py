@@ -172,7 +172,7 @@ class QSeries:
     def pow(self, e: int) -> "QSeries":
         if e < 0:
             return self.pow(-e).inverse()
-        result = QSeries({0: 1}, EXACT_BOUND)
+        result = qseries_one()
         base = self
         k = e
         while k:
@@ -246,8 +246,8 @@ def _to_grid(exponent) -> int:
     return e.numerator
 
 
-def qseries_one(max24: int = EXACT_BOUND) -> QSeries:
-    return QSeries({0: 1}, max24)
+def qseries_one() -> QSeries:
+    return QSeries({0: 1}, EXACT_BOUND)
 
 
 def power_series(coeffs: Sequence) -> QSeries:
@@ -347,29 +347,21 @@ def _eta_raw(scale: int, max24: int) -> QSeries:
 
 
 def eta_qseries(scale: int, power: int, max_exponent) -> QSeries:
-    """q-expansion of eta(scale*tau)^power, trusted through max_exponent.
-
-    Negative powers go through exact series inversion; the base series is
-    pre-extended so the inversion's precision loss lands back on the
-    requested bound.
-    """
+    """q-expansion of eta(scale*tau)^power, trusted through max_exponent."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    max24 = _to_grid(max_exponent)
-    if power == 0:
-        return qseries_one(max24)
-    # inverting a series with leading exponent m costs 2m of trusted range
-    slack = 2 * abs(power) * scale if power < 0 else 0
-    base = _eta_raw(scale, max24 + slack)
-    out = base.pow(abs(power))
-    if power < 0:
-        out = out.inverse()
-    return out.truncate(max24)
+    return eta_product_qseries({scale: power}, max_exponent)
 
 
 def eta_product_qseries(powers: Mapping[int, int], max_exponent) -> QSeries:
-    """Product over scales m of eta(m*tau)^e trusted through max_exponent."""
+    """Product over scales m of eta(m*tau)^e trusted through max_exponent.
+
+    Negative powers go through exact series inversion; each base series is
+    pre-extended so the inversions' precision loss lands back on the
+    requested bound.
+    """
     max24 = _to_grid(max_exponent)
+    # inverting a series with leading exponent m costs 2m of trusted range
     slack = sum(2 * abs(e) * m for m, e in powers.items() if e < 0)
     out = qseries_one()
     for m in sorted(powers):
@@ -532,10 +524,13 @@ def verify_w2_identity(max_exponent=20) -> W2Report:
     eta(2tau)^22 / (eta(tau)^12 eta(4tau)^8), trying the convention
     variants for z(tau) and reporting which (if any) matches exactly.
 
-    A mismatch is an outcome, not an error.
+    A mismatch is an outcome, not an error; a bound below q^1, where z
+    has no term yet, raises ValueError.
     """
     from . import aperynum  # local import; aperynum also consumes this module
 
+    if max_exponent < 1:
+        raise ValueError("max_exponent must be at least 1")
     max24 = _to_grid(max_exponent)
     order = max24 // GRID  # z has leading exponent q^1
     # sum_n tJ2(n) z^n, with tJ2(n) = sum_k (-1)^k C(-1/2,k)^2 C(n,k)

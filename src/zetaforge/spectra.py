@@ -314,12 +314,12 @@ def qrm_eigs(
     return _solve("qrm", params, _qrm_sectors, N, count, threshold)
 
 
-def qho_spectrum(count: int, frequency: float = 1.0) -> SpectrumResult:
-    """Reference oscillator spectrum frequency*(n + 1/2), exact."""
+def qho_spectrum(count: int) -> SpectrumResult:
+    """Reference unit oscillator spectrum n + 1/2, exact."""
     return SpectrumResult(
-        eigenvalues=[frequency * (n + 0.5) for n in range(count)],
+        eigenvalues=[n + 0.5 for n in range(count)],
         model="qho",
-        params={"frequency": frequency},
+        params={"frequency": 1.0},
         truncation_N=count,
         convergence=[0.0] * count,
     )
@@ -363,8 +363,7 @@ def _comparison_spectrum(spec: SpectrumResult) -> Tuple[tuple, tuple]:
     above, by the model's two-sided eigenvalue bounds."""
     n = len(spec.eigenvalues)
     if spec.model == "qho":
-        w = spec.params["frequency"]
-        exact = (1, w * (n + 0.5), w)
+        exact = (1, n + 0.5, 1.0)
         return exact, exact
     if spec.model not in ("ncho", "qrm"):
         raise ValueError(f"unknown model {spec.model!r}")
@@ -415,11 +414,11 @@ def partition_from_spectrum(
     return value, half
 
 
-def partition_callable(spec: SpectrumResult, tail: str = "QHO_BOUND") -> Callable[[float], float]:
-    """Z(t) as a scalar callable (bracket midpoint when tail-completed)."""
+def partition_callable(spec: SpectrumResult) -> Callable[[float], float]:
+    """Z(t) as a scalar callable: the midpoint of the tail-completed bracket."""
 
     def Z(t: float) -> float:
-        return partition_from_spectrum(spec, t, tail=tail)[0]
+        return partition_from_spectrum(spec, t, tail="QHO_BOUND")[0]
 
     return Z
 
@@ -591,7 +590,6 @@ def spectral_zeta_mellin(
     Z: Callable[[float], float],
     s: float,
     tau: float,
-    epsabs: float = 1e-10,
     small_t_model: Optional[Callable[[float], float]] = None,
     t_cut: float = 0.0,
 ) -> float:
@@ -611,7 +609,7 @@ def spectral_zeta_mellin(
     def quad_split(f: Callable[[float], float], lo: float, cut: float) -> float:
         edges = (lo, cut, 1.0) if lo < cut < 1.0 else (lo, 1.0)
         pieces = zip(edges, edges[1:])
-        return sum(quad(f, a, b, epsabs=epsabs)[0] for a, b in pieces)
+        return sum(quad(f, a, b, epsabs=1e-10)[0] for a, b in pieces)
 
     def zf(t: float) -> float:
         if t < t_cut and small_t_model is not None:
@@ -746,25 +744,19 @@ def rabi_bernoulli_exact(k: int) -> RabiBernoulli:
 
 
 def rabi_bernoulli_numeric(
-    k: int,
-    params: QrmParams,
-    tau: float,
-    Z: Callable[[float], float],
-    t_grid: Optional[Sequence[float]] = None,
-    degree: Optional[int] = None,
+    k: int, tau: float, Z: Callable[[float], float]
 ) -> Tuple[float, float]:
     """(RB)_k(tau) estimate from the Taylor coefficients of
     f(t) = t Z(t) e^{-tau t} / 2 = sum (-1)^k (RB)_k t^k / k!.
 
-    Fits a polynomial on a small-t grid; returns (estimate, fit_error).
-    The k <= 2 exact table is the consistency oracle in the tests.
+    Fits a polynomial of degree k + 4 on 24 points of [0.02, 0.45]; returns
+    (estimate, fit_error).  The k <= 2 exact table is the consistency
+    oracle in the tests.
     """
     if k > 4:
         raise UnsupportedIndex("numeric route supported for k <= 4")
-    if t_grid is None:
-        t_grid = np.linspace(0.02, 0.45, 24)
-    deg = degree if degree is not None else k + 4
-    t = np.asarray([float(x) for x in t_grid])
+    deg = k + 4
+    t = np.linspace(0.02, 0.45, 24)
     y = np.array([0.5 * x * Z(x) * math.exp(-tau * x) for x in t])
     scale = float(np.max(t))
     A = np.stack([(t / scale) ** j for j in range(deg + 1)], axis=1)

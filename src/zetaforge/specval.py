@@ -20,13 +20,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _mc
-from .exact import bernoulli_number
+from .exact import bernoulli_number, hurwitz_zeta_nonpos
 
 __all__ = [
     "PoleAtOne",
     "SeriesRegimeViolated",
     "UnsupportedIndexPair",
-    "TableExhausted",
     "NchoParams",
     "QuadratureResult",
     "hurwitz_zeta_num",
@@ -51,10 +50,6 @@ class SeriesRegimeViolated(ValueError):
 
 class UnsupportedIndexPair(ValueError):
     """(k, j) pair without a concretely given integrand."""
-
-
-class TableExhausted(ValueError):
-    """Requested order beyond the exact coefficient table."""
 
 
 @dataclass(frozen=True)
@@ -128,11 +123,7 @@ def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | fl
     if s == 1:
         raise PoleAtOne("zeta(s, tau) has its pole at s = 1")
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
-        from fractions import Fraction as _F
-
-        from .exact import hurwitz_zeta_nonpos
-
-        return float(hurwitz_zeta_nonpos(int(-s.real), _F(tau)))
+        return float(hurwitz_zeta_nonpos(int(-s.real), Fraction(tau)))
     if terms is not None:
         M = terms
     elif s.real < 0:
@@ -263,6 +254,14 @@ def _abc(u4: np.ndarray, u2: np.ndarray):
     return a, b, c
 
 
+def _r42_radicand(v: np.ndarray, k2: float):
+    """(Jacobian, a, a^2 + k2 b + (k2 + k2^2) c): the R_{4,2} integrand is
+    16 Jacobian / sqrt(radicand) at kappa^2 = k2."""
+    jac, u2, u4 = _cube_sub(v)
+    a, b, c = _abc(u4, u2)
+    return jac, a, a * a + k2 * b + (k2 + k2 * k2) * c
+
+
 def _rkj_integrand(k: int, j: int, kappa: float):
     """Integrand over v in [0,1]^k with u_i = 1 - v_i^2; includes Jacobian."""
     k2 = kappa * kappa
@@ -270,9 +269,7 @@ def _rkj_integrand(k: int, j: int, kappa: float):
     if (k, j) == (4, 2):
 
         def f(v: np.ndarray) -> np.ndarray:
-            jac, u2, u4 = _cube_sub(v)
-            a, b, c = _abc(u4, u2)
-            rad = a * a + k2 * b + (k2 + k2 * k2) * c
+            jac, _, rad = _r42_radicand(v, k2)
             return 16.0 * jac / np.sqrt(rad)
 
         return f
@@ -368,7 +365,8 @@ def zetaQ_special(
             nodes += res.samples_or_nodes
     pref = 2.0 * c**k
     return QuadratureResult(
-        pref * total, pref * math.sqrt(err2), nodes, method, seed=seed
+        pref * total, pref * math.sqrt(err2), nodes, method,
+        seed=seed if method == "MONTE_CARLO" else None,
     )
 
 
@@ -437,17 +435,11 @@ APPENDIX_AB_EXACT = {
 }
 
 
-def r42_series(t: float, n_max: int = 1) -> float:
+def r42_series(t: float) -> float:
     """Low-order expansion R_{4,2}(t) = 16 sum_n C(-1/2,n) sum_k C(n,k)
-    A_{n,k} t^{n+k}, limited by the exact A table (n <= 1)."""
-    if n_max > 1:
-        raise TableExhausted("exact A_{n,k} table stops at n = 1")
-    total = APPENDIX_AB_EXACT[("A", 0, 0)]
-    if n_max >= 1:
-        total += -0.5 * (
-            APPENDIX_AB_EXACT[("A", 1, 0)] * t + APPENDIX_AB_EXACT[("A", 1, 1)] * t * t
-        )
-    return 16.0 * total
+    A_{n,k} t^{n+k} through n = 1, where the exact A table stops."""
+    A = APPENDIX_AB_EXACT
+    return 16.0 * (A[("A", 0, 0)] - 0.5 * (A[("A", 1, 0)] * t + A[("A", 1, 1)] * t * t))
 
 
 def r42_order_of_contact(
@@ -465,9 +457,7 @@ def r42_order_of_contact(
 
     def diff_f(kappa2: float):
         def f(v: np.ndarray) -> np.ndarray:
-            jac, u2, u4 = _cube_sub(v)
-            a, b, c = _abc(u4, u2)
-            rad = a * a + kappa2 * b + (kappa2 + kappa2 * kappa2) * c
+            jac, a, rad = _r42_radicand(v, kappa2)
             return 16.0 * jac * (1.0 / np.sqrt(rad) - 1.0 / a)
 
         return f

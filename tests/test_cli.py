@@ -108,6 +108,28 @@ class TestTraceOutputs:
         assert rep["p"] == 5 and len(rep["digits"]) == rep["precision"]
 
 
+class TestSpecialValuesMethod:
+    @pytest.mark.parametrize(
+        "op_args",
+        [
+            ["--op", "zetaQ", "--alpha", "2", "--beta", "1"],
+            ["--op", "appendixB", "--which", "A", "--n", "1", "--j", "0"],
+            ["--op", "rkj", "--k", "2", "--j", "1", "--kappa", "0.3"],
+        ],
+        ids=["zetaQ", "appendixB", "rkj"],
+    )
+    def test_method_flag_reaches_the_quadrature(self, op_args):
+        code, out = run_cli(
+            "--no-meta", "special-values", *op_args,
+            "--method", "TENSOR_GAUSS", "--samples", "1000",
+        )
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["method"] == "TENSOR_GAUSS"
+        assert rep["std_error"] == 0.0
+        assert "seed" not in rep  # a deterministic rule has no seed
+
+
 class TestStochasticDeterminism:
     def test_same_seed_identical(self):
         args = (
@@ -159,6 +181,34 @@ class TestExitCodes:
         cli.run(["--help"])
         epilog = " ".join(capsys.readouterr().out.split())
         assert "3 a computation did not reach its certified accuracy" in epilog
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qseries-verify", "--max-q", "0"],
+            ["partition", "--model", "ncho", "--t", "1"],
+            ["special-values", "--op", "zetaQ", "--alpha", "2"],
+            ["padic-zeta", "--p", "4", "--s", "2", "--tau", "1/5"],
+        ],
+        ids=["qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p"],
+    )
+    def test_malformed_input_is_a_typed_error(self, argv, capsys):
+        code = cli.run(["--no-meta", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_mellin_zeta_has_no_bias_flag(self, capsys):
+        # the small-t model of the qrm route is the unbiased Rabi-Bernoulli
+        # table, so a bias would give a wrong value; the flag is refused
+        code = cli.run([
+            "--no-meta", "mellin-zeta", "--model", "qrm", "--s", "3", "--tau", "2",
+            "--g", "0.3", "--delta", "0.5", "--eps", "0.4",
+        ])
+        assert code == 2
+        assert "--eps" in capsys.readouterr().err
 
 
 class TestFlagsAfterSubcommand:

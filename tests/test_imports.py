@@ -1,13 +1,17 @@
-"""Import-graph guard: importing zetaforge loads no heavy scipy subpackage.
+"""Import-graph guards: importing zetaforge loads no heavy scipy subpackage,
+and a CLI job that is exact arithmetic loads neither numpy nor scipy.
 
 scipy.integrate pulls in scipy.special, scipy.optimize and
 scipy.sparse.linalg, which cost about half a second per process; the
-package needs only scipy.linalg (for eig_banded)."""
+package needs only scipy.linalg (for eig_banded).  numpy alone costs about
+0.15 s per process, which dominates a small exact job."""
 
 import os
 import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import zetaforge
 
@@ -23,9 +27,37 @@ def test_no_heavy_scipy_subpackages():
         "    importlib.import_module('zetaforge.' + name)\n"
         f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
+    assert _run_python(code) == "[]"
+
+
+def _run_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this zetaforge."""
     src = os.path.dirname(os.path.dirname(zetaforge.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+EXACT_JOBS = {
+    "bernoulli": ["bernoulli", "--k", "12", "--poly-x", "1/3"],
+    "apery": ["apery", "--kind", "A3", "--n", "10", "--closed"],
+    "aperylike": ["aperylike", "--family", "J", "--k", "3", "--n", "4"],
+    "congruence": ["congruence", "--check", "super", "--kind", "A2", "--p", "5"],
+    "qseries-verify": ["qseries-verify", "--max-q", "4"],
+    "padic-zeta": ["padic-zeta", "--p", "5", "--s", "2", "--tau", "1/5"],
+    "divergence-padic": ["divergence", "--n", "2", "--tau", "1/5", "--K", "14", "--padic-p", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", EXACT_JOBS.values(), ids=EXACT_JOBS.keys())
+def test_exact_job_loads_no_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from zetaforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run({argv!r})\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    assert _run_python(code) == "0 []"

@@ -13,7 +13,6 @@ from zetaforge.padic import (
     DomainViolated,
     NotAUnit,
     Padic,
-    PadicContext,
     PrecisionExhausted,
     SAtOne,
     TauInZp,
@@ -109,12 +108,6 @@ class TestTeichmuller:
     def test_requires_unit(self):
         with pytest.raises(NotAUnit):
             teichmuller(Padic.from_rational(5, 5, 8))
-
-    def test_context_table(self):
-        ctx = PadicContext(7, 10)
-        w3 = ctx.teichmuller_of_residue(3)
-        assert w3.unit % 7 == 3
-        assert ctx.teichmuller_of_residue(3) is w3  # cached
 
 
 class TestAngleBracket:

@@ -399,9 +399,9 @@ class TestRabiBernoulli:
         q = QrmParams(0.3, 0.5)
         spec = qrm_eigs(q, N=512, count=200, threshold=1e-4)
         Z = partition_callable(spec)
-        est0, _ = rabi_bernoulli_numeric(0, q, 2.0, Z)
+        est0, _ = rabi_bernoulli_numeric(0, 2.0, Z)
         assert abs(est0 - 1.0) < 1e-3
-        est1, _ = rabi_bernoulli_numeric(1, q, 2.0, Z)
+        est1, _ = rabi_bernoulli_numeric(1, 2.0, Z)
         assert abs(est1 - rabi_bernoulli_exact(1).evaluate_float(2.0, 0.09, 0.25)) < 1e-2
 
     def test_numeric_delta_zero_reduction(self):
@@ -409,7 +409,7 @@ class TestRabiBernoulli:
         spec = qrm_eigs(q, N=512, count=200, threshold=1e-4)
         Z = partition_callable(spec)
         for k in (1, 2):
-            est, _ = rabi_bernoulli_numeric(k, q, 2.0, Z)
+            est, _ = rabi_bernoulli_numeric(k, 2.0, Z)
             exact = float(bernoulli_poly(k, F(2) - F(9, 100)))
             assert abs(est - exact) < 2e-2, k
 
