@@ -38,6 +38,8 @@ def mc_mean(
     batch order with the pairwise update of Chan, Golub and LeVeque, so a
     large mean does not cancel the variance away.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < samples:
         m = min(_BATCH, samples - n_done)

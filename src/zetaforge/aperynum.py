@@ -23,6 +23,7 @@ from typing import Optional
 from .exact import (
     DenominatorNotInvertible,
     Rat,
+    _is_odd_prime,
     padic_valuation,
     rational_mod_prime_power,
 )
@@ -112,9 +113,6 @@ class ZetaCombo:
 
     def is_rational(self) -> bool:
         return all(sym == ONE for sym, _ in self.coeffs)
-
-    def to_json(self) -> dict:
-        return {sym: f"{c.numerator}/{c.denominator}" for sym, c in self.coeffs}
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +346,6 @@ class CongruenceReport:
     ok: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "params": self.params,
-            "lhs_residue": self.lhs_residue,
-            "rhs_residue": self.rhs_residue,
-            "modulus": self.modulus,
-            "ok": self.ok,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 def _p_digits(n: int, p: int) -> list:
     if n == 0:
@@ -384,6 +369,8 @@ def congruence_pary_product(kind: str, p: int, n: int) -> CongruenceReport:
     digits n_j of n."""
     if kind not in _PARY_SEQ:
         raise UnsupportedIndex(f"unsupported kind {kind!r}")
+    if p != 2 and not _is_odd_prime(p):
+        raise ValueError("p must be a prime")
     if kind == "TJ2" and p == 2:
         raise ValueError("TJ2 reduction needs an odd prime")
     seq = _PARY_SEQ[kind]
@@ -405,6 +392,8 @@ def supercongruence_check(kind: str, p: int, m: int, r: int) -> CongruenceReport
     """A(m p^r - 1) = A(m p^{r-1} - 1) mod p^{3r} for p >= 5 (mod p^r for p = 3)."""
     if kind not in ("A2", "A3"):
         raise UnsupportedIndex(f"unsupported kind {kind!r}")
+    if p != 2 and not _is_odd_prime(p):
+        raise ValueError("p must be a prime")
     if m < 1 or r < 1:
         raise ValueError("m and r must be positive")
     seq = apery2 if kind == "A2" else apery3
@@ -425,7 +414,9 @@ def supercongruence_check(kind: str, p: int, m: int, r: int) -> CongruenceReport
 
 def tj_supercongruence_check(s: int, p: int, m: int, n: int) -> CongruenceReport:
     """p^{2sn} tJ_{2s+2}(m p^n) = p^{2s(n-1)} tJ_{2s+2}(m p^{n-1}) mod p^n,
-    for odd p and 1 <= m < p/2."""
+    for an odd prime p and 1 <= m < p/2."""
+    if not _is_odd_prime(p):
+        raise ValueError("p must be an odd prime")
     if s < 0 or n < 1:
         raise ValueError("need s >= 0 and n >= 1")
     if not (1 <= m and 2 * m < p):
@@ -454,7 +445,7 @@ def tj_supercongruence_check(s: int, p: int, m: int, n: int) -> CongruenceReport
 
 def los_square_sum_check(p: int) -> CongruenceReport:
     """sum_{n<p} tJ2(n)^2 = (-1)^{(p-1)/2} mod p^3 for odd prime p."""
-    if p < 3 or p % 2 == 0:
+    if not _is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     table = tj_table(2, p - 1)
     total = sum((v * v for v in table), Fraction(0))
@@ -495,8 +486,8 @@ def asd_congruence_check(kind: str, p: int, m: int, r: int) -> CongruenceReport:
     """
     if kind not in ("A2", "A3"):
         raise UnsupportedIndex(f"unsupported kind {kind!r}")
-    if p % 2 == 0 or m % 2 == 0 or r < 2:
-        raise ValueError("need odd p, odd m and r >= 2")
+    if not _is_odd_prime(p) or m % 2 == 0 or r < 2:
+        raise ValueError("need an odd prime p, odd m and r >= 2")
     idx = []
     for j in (r, r - 1, r - 2):
         t = m * p**j - 1

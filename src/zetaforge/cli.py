@@ -3,11 +3,14 @@ reproducible batch job.
 
 Exit codes: 0 all checks passed / value computed, 1 a verification reported
 a mismatch, 2 usage or input error, 3 a computation did not reach its
-certified accuracy.  Output formats: json (schema-stable,
-rationals as "num/den" strings, sorted keys), csv (traces), plain.  With a
-fixed --seed, exact jobs are byte-identical across runs and stochastic jobs
-are identical too (counter-based streams); --no-meta strips the run
-metadata block (version, timestamp) so outputs can be compared bytewise.
+certified accuracy.  Output formats: json (sorted keys), csv (traces),
+plain.  Handlers return result records, and ``_jsonify`` is the one
+serializer: a dataclass record is written as all of its fields, so each op
+has one key set whatever the input, and every rational is a "num/den"
+string ("2" when integral).  With a fixed --seed, exact jobs are
+byte-identical across runs and stochastic jobs are identical too
+(counter-based streams); --no-meta strips the run metadata block (version,
+timestamp) so outputs can be compared bytewise.
 """
 
 from __future__ import annotations
@@ -56,21 +59,19 @@ _BUDGETS = {
 }
 
 
-def _fr(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _jsonify(obj):
-    """Recursive canonicalization: Fractions to 'num/den' strings."""
+    """Recursive canonicalization: Fractions to 'num/den' strings ('n' when
+    integral), dataclass records to the dict of all their fields."""
     if isinstance(obj, Fraction):
-        return _fr(obj)
+        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if hasattr(obj, "to_dict"):
-        return _jsonify(obj.to_dict())
+    if hasattr(obj, "__dataclass_fields__"):
+        # read without dataclasses.fields: importing dataclasses costs
+        # every exact-only job that never loads it otherwise
+        return {k: _jsonify(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return obj
 
 
@@ -148,7 +149,7 @@ def _cmd_bernoulli(args):
         return {"op": "bernoulli_poly", "k": args.k, "x": args.poly_x, "value": val}, True
     val = exact.bernoulli_number(args.k)
     if args.format == "plain":
-        return _fr(val), True
+        return val, True
     return {"op": "bernoulli", "k": args.k, "value": val}, True
 
 
@@ -183,7 +184,7 @@ def _cmd_aperylike(args):
             "op": "aperylike_J",
             "k": args.k,
             "n": args.n,
-            "value": combo.to_json(),
+            "value": combo.as_dict(),
         }, True
     val = aperynum.aperylike_tJ(args.k, args.n)
     return {"op": "aperylike_tJ", "k": args.k, "n": args.n, "value": val}, True
@@ -202,17 +203,19 @@ def _cmd_congruence(args):
         rep = aperynum.los_square_sum_check(args.p)
     else:  # asd
         rep = aperynum.asd_congruence_check(args.kind, args.p, args.m, args.r)
-    return rep.to_dict(), rep.ok
+    return rep, rep.ok
 
 
 def _cmd_qseries_verify(args):
     from . import series
 
     rep = series.verify_w2_identity(args.max_q)
-    out = rep.to_dict()
     jac = series.jacobi_theta_identity_check(args.max_q)
-    out["jacobi_identity_ok"] = jac is None
-    out["hauptmodul_forms"] = series.hauptmodul_consistency_report(min(args.max_q, 8))
+    out = {
+        **_jsonify(rep),
+        "jacobi_identity_ok": jac is None,
+        "hauptmodul_forms": series.hauptmodul_consistency_report(min(args.max_q, 8)),
+    }
     if args.dump != "none":
         # exact series dump: array of {exponent, coefficient} rationals
         builders = {
@@ -227,7 +230,7 @@ def _cmd_qseries_verify(args):
         }
         out["series_dump"] = {
             "name": args.dump,
-            "entries": builders[args.dump]().to_json_entries(),
+            "entries": builders[args.dump]().entries(),
         }
     return out, rep.matched and jac is None
 
@@ -248,19 +251,19 @@ def _cmd_special_values(args):
     if args.op == "zetaQ2-closed":
         return {
             "op": "zetaQ2_closed",
-            "params": p.as_dict(),
+            "params": p,
             "value": specval.zetaQ2_closed(p),
         }, True
     if args.op == "zetaQ":
         res = specval.zetaQ_special(
             args.k, p, budget=args.samples, seed=args.seed, method=args.method
         )
-        return {"op": "zetaQ_special", "k": args.k, "params": p.as_dict(), **res.to_dict()}, True
+        return {"op": "zetaQ_special", "k": args.k, "params": p, **_jsonify(res)}, True
     if args.op == "rkj":
         res = specval.r_kj_quadrature(
             args.k, args.j, args.kappa, method=args.method, budget=args.samples, seed=args.seed
         )
-        return {"op": "r_kj", "k": args.k, "j": args.j, "kappa": args.kappa, **res.to_dict()}, True
+        return {"op": "r_kj", "k": args.k, "j": args.j, "kappa": args.kappa, **_jsonify(res)}, True
     if args.op == "r-series":
         val, last = specval.r_k1_series(args.k, args.kappa, args.n_max)
         return {
@@ -276,7 +279,7 @@ def _cmd_special_values(args):
             args.which, args.n, args.j, budget=args.samples, seed=args.seed,
             method=args.method,
         )
-        return {"op": "appendixB", "which": args.which, "n": args.n, "index": args.j, **res.to_dict()}, True
+        return {"op": "appendixB", "which": args.which, "n": args.n, "index": args.j, **_jsonify(res)}, True
     # r42 series
     return {
         "op": "r42_series",
@@ -293,9 +296,8 @@ def _cmd_ncho_spectrum(args):
     spec = spectra.ncho_eigs(
         p, N=args.n_basis, count=args.count, threshold=args.threshold,
     )
-    out = spec.to_dict()
-    out["bounds_ok"] = spectra.ncho_eigen_bounds_ok(spec)
-    return out, out["bounds_ok"]
+    ok = spectra.ncho_eigen_bounds_ok(spec)
+    return {**_jsonify(spec), "bounds_ok": ok}, ok
 
 
 def _cmd_qrm_spectrum(args):
@@ -305,7 +307,7 @@ def _cmd_qrm_spectrum(args):
     spec = spectra.qrm_eigs(
         q, N=args.n_basis, count=args.count, threshold=args.threshold,
     )
-    return spec.to_dict(), True
+    return spec, True
 
 
 def _cmd_partition(args):
@@ -323,7 +325,7 @@ def _cmd_partition(args):
             spectra.QrmParams(args.g, args.delta, args.eps),
             N=args.n_basis, count=args.count, threshold=args.threshold,
         )
-    value, half = spectra.partition_from_spectrum(spec, args.t, tail=args.tail)
+    value, half = spectra.partition_from_spectrum(spec, args.t, tail="QHO_BOUND")
     return {
         "op": "partition",
         "model": args.model,
@@ -364,12 +366,14 @@ def _cmd_heat_fit(args):
     residue = (args.alpha + args.beta) / math.sqrt(
         args.alpha * args.beta * (args.alpha * args.beta - 1)
     )
-    out = fit.to_dict()
-    out["op"] = "heat_fit"
-    out["residue_formula"] = residue
-    out["relative_error_vs_formula"] = abs(fit.c_minus1 - residue) / residue
-    out["label"] = "conjecture-support"
-    return out, out["relative_error_vs_formula"] < 0.02
+    rel_err = abs(fit.c_minus1 - residue) / residue
+    return {
+        **_jsonify(fit),
+        "op": "heat_fit",
+        "residue_formula": residue,
+        "relative_error_vs_formula": rel_err,
+        "label": "conjecture-support",
+    }, rel_err < 0.02
 
 
 def _cmd_mellin_zeta(args):
@@ -418,7 +422,7 @@ def _cmd_borel(args):
         rep = resum.borel_sum_complex_s(args.s, args.z)
     else:
         rep = resum.borel_sum_hurwitz(args.n, args.z)
-    return rep.to_dict(), rep.agreement
+    return rep, rep.agreement
 
 
 def _cmd_divergence(args):
@@ -450,12 +454,13 @@ def _cmd_padic_zeta(args):
     z = padic_mod.padic_hurwitz_zeta(
         args.s, Fraction(args.tau), p=args.p, prec=args.prec
     )
-    out = z.to_dict()
-    out["op"] = "padic_zeta"
-    out["s"] = args.s
-    out["tau"] = args.tau
-    out["expansion"] = z.expansion_str()
-    return out, True
+    return {
+        **z.to_dict(),
+        "op": "padic_zeta",
+        "s": args.s,
+        "tau": args.tau,
+        "expansion": z.expansion_str(),
+    }, True
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +733,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("partition", help="partition function from a spectrum")
     p.add_argument("--model", choices=("qho", "ncho", "qrm"), required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tail", choices=("NONE", "QHO_BOUND"), default="QHO_BOUND")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--g", type=float, default=0.0)

@@ -145,6 +145,18 @@ def pochhammer(a: RatLike, n: int) -> Fraction:
     return out
 
 
+def _is_odd_prime(p: int) -> bool:
+    """True when p is an odd prime (trial division)."""
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def padic_valuation(x: RatLike, p: int) -> int:
     """v_p(x) for a nonzero rational; raises on x = 0."""
     x = Fraction(x)

@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from .exact import (
     _fps_coeff,
+    _is_odd_prime,
     bernoulli_number,
     bernoulli_poly,
     binom_general,
@@ -66,17 +67,6 @@ class PrecisionExhausted(ArithmeticError):
 
 
 _MIN_DIGITS = 4
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)

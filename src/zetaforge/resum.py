@@ -57,17 +57,6 @@ class BorelReport:
     tolerance: float
     method: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "borel_sum": self.borel_sum,
-            "quadrature_error": self.quadrature_error,
-            "reference_value": self.reference_value,
-            "agreement": self.agreement,
-            "tolerance": self.tolerance,
-            "method": self.method,
-        }
-
 
 def a_nj_closed(n: int, j: int, tau: float) -> float:
     """Iterated-integral coefficient A^(n)_j(tau) = ((j+n-2)!/(n-1)!) tau^{-(j+n-1)}

@@ -69,10 +69,6 @@ class NonvanishingInnerConstant(ValueError):
     """Composition requires the inner series to vanish at the origin."""
 
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-
-
 # ---------------------------------------------------------------------------
 # q-series on the 1/24 exponent lattice
 # ---------------------------------------------------------------------------
@@ -232,9 +228,11 @@ class QSeries:
                 return Fraction(e, GRID)
         return None
 
-    def to_json_entries(self) -> list:
+    def entries(self) -> list:
+        """The stored terms as {exponent, coefficient} Fractions, in
+        exponent order."""
         return [
-            {"exponent": _frac_str(Fraction(e, GRID)), "coefficient": _frac_str(c)}
+            {"exponent": Fraction(e, GRID), "coefficient": Fraction(c)}
             for e, c in sorted(self.coeffs.items())
         ]
 
@@ -429,11 +427,12 @@ def hauptmodul_consistency_report(max_exponent) -> dict:
     theta_form = hauptmodul_theta_form(max_exponent)
     le, ce = eta_form.leading()
     lt, ct = theta_form.leading()
+    first = eta_form.first_difference(theta_form)
     return {
-        "eta_form_leading": {"exponent": str(le), "coefficient": _frac_str(ce)},
-        "theta_form_leading": {"exponent": str(lt), "coefficient": _frac_str(ct)},
-        "first_difference": str(eta_form.first_difference(theta_form)),
-        "agree_as_printed": eta_form.first_difference(theta_form) is None,
+        "eta_form_leading": {"exponent": le, "coefficient": ce},
+        "theta_form_leading": {"exponent": lt, "coefficient": ct},
+        "first_difference": first,
+        "agree_as_printed": first is None,
         "value_at_q0": "0",
     }
 
@@ -499,17 +498,6 @@ class W2Report:
     max_exponent: Fraction
     variants: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "convention_used": self.convention_used,
-            "first_mismatch": None
-            if self.first_mismatch is None
-            else str(self.first_mismatch),
-            "max_exponent": str(self.max_exponent),
-            "variants": self.variants,
-        }
-
 
 def w2_hypergeometric_form(order: int) -> QSeries:
     """(1-z)^{-1} 2F1(1/2,1/2;1; z/(z-1)) as an exact power series in z."""
@@ -560,21 +548,15 @@ def verify_w2_identity(max_exponent=20) -> W2Report:
             {
                 "label": label,
                 "matched": ok,
-                "first_mismatch": None if diff is None else str(diff),
-                "checked_through": str(Fraction(bound, GRID)),
+                "first_mismatch": diff,
+                "checked_through": Fraction(bound, GRID),
             }
         )
         if ok and matched_label is None:
             matched_label = label
     if matched_label is None:
-        # report the furthest-agreeing candidate's mismatch
-        best = max(
-            (v for v in variants),
-            key=lambda v: Fraction(v["first_mismatch"]) if v["first_mismatch"] else 10**9,
-        )
-        matched_mismatch = (
-            Fraction(best["first_mismatch"]) if best["first_mismatch"] else None
-        )
+        # every candidate mismatched: report the furthest-agreeing one
+        matched_mismatch = max(v["first_mismatch"] for v in variants)
     return W2Report(
         matched=matched_label is not None,
         convention_used=matched_label,

@@ -105,26 +105,14 @@ class QrmParams:
         if self.g < 0 or self.delta < 0:
             raise ValueError("g and delta must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {"g": self.g, "delta": self.delta, "eps": self.eps}
-
 
 @dataclass
 class SpectrumResult:
     eigenvalues: list
     model: str  # "ncho" | "qrm" | "qho"
-    params: dict
+    params: Optional[NchoParams | QrmParams]  # what was solved; None for qho
     truncation_N: int
     convergence: list
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues,
-            "model": self.model,
-            "params": self.params,
-            "truncation_N": self.truncation_N,
-            "convergence": self.convergence,
-        }
 
 
 @dataclass
@@ -134,15 +122,6 @@ class HeatTraceFit:
     even_coeffs: Optional[list]
     residual: float
     t_grid: list
-
-    def to_dict(self) -> dict:
-        return {
-            "c_minus1": self.c_minus1,
-            "odd_coeffs": self.odd_coeffs,
-            "even_coeffs": self.even_coeffs,
-            "residual": self.residual,
-            "t_grid": self.t_grid,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +248,8 @@ def _lowest(blocks: list, count: int) -> np.ndarray:
 def _solve(model: str, params, sectors: Callable, N: int, count: int,
            threshold: float) -> SpectrumResult:
     """Solve at N and N/2, certify convergence, and wrap the result."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     if count > N:
         raise ValueError("count must not exceed N (half the truncated matrix)")
     full = _lowest(sectors(params, N), count)
@@ -280,7 +261,7 @@ def _solve(model: str, params, sectors: Callable, N: int, count: int,
     return SpectrumResult(
         eigenvalues=full.tolist(),
         model=model,
-        params=params.as_dict(),
+        params=params,
         truncation_N=N,
         convergence=conv.tolist(),
     )
@@ -319,7 +300,7 @@ def qho_spectrum(count: int) -> SpectrumResult:
     return SpectrumResult(
         eigenvalues=[n + 0.5 for n in range(count)],
         model="qho",
-        params={"frequency": 1.0},
+        params=None,
         truncation_N=count,
         convergence=[0.0] * count,
     )
@@ -336,8 +317,7 @@ def _ncho_slope_bounds(params: NchoParams) -> Tuple[float, float]:
 def ncho_eigen_bounds_ok(spec: SpectrumResult, slack: float = 1e-9) -> bool:
     """Two-sided pair bounds: (j - 1/2) a_min <= l_{2j-1} <= l_{2j} <=
     (j - 1/2) a_max with a_{min,max} = min/max(alpha,beta) sqrt(1 - 1/ab)."""
-    p = NchoParams(spec.params["alpha"], spec.params["beta"])
-    lo, hi = _ncho_slope_bounds(p)
+    lo, hi = _ncho_slope_bounds(spec.params)
     ev = spec.eigenvalues
     for j in range(1, len(ev) // 2 + 1):
         lam1, lam2 = ev[2 * j - 2], ev[2 * j - 1]
@@ -370,12 +350,11 @@ def _comparison_spectrum(spec: SpectrumResult) -> Tuple[tuple, tuple]:
     if n % 2 != 0:
         raise ValueError("tail bracket expects an even eigenvalue count")
     if spec.model == "ncho":
-        p = NchoParams(spec.params["alpha"], spec.params["beta"])
-        lo, hi = _ncho_slope_bounds(p)
+        lo, hi = _ncho_slope_bounds(spec.params)
         j0 = n // 2 + 1  # first pair not computed
         return (2, lo * (j0 - 0.5), lo), (2, hi * (j0 - 0.5), hi)
-    g2 = spec.params["g"] ** 2
-    d = spec.params["delta"] + abs(spec.params.get("eps", 0.0))
+    g2 = spec.params.g ** 2
+    d = spec.params.delta + abs(spec.params.eps)
     m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
     return (2, m0 - g2 - d, 1.0), (2, m0 - g2 + d, 1.0)
 
@@ -583,6 +562,8 @@ def quasi_partition(values: Sequence, residue: float, t: float) -> float:
 
 def qho_quasi_partition_values(K: int) -> list:
     """Exact zeta(-k, 1/2) inputs, k = 0..K."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
     return [hurwitz_zeta_nonpos(k, Fraction(1, 2)) for k in range(K + 1)]
 
 
@@ -667,7 +648,7 @@ def spectral_zeta_weyl(spec: SpectrumResult, s: float, tau: float) -> float:
     if spec.model != "ncho":
         raise ValueError("Weyl completion implemented for the ncho model")
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
-    p = NchoParams(spec.params["alpha"], spec.params["beta"])
+    p = spec.params
     density = (p.alpha + p.beta) / math.sqrt(
         p.alpha * p.beta * (p.alpha * p.beta - 1.0)
     )

@@ -72,9 +72,6 @@ class NchoParams:
     def swap(self) -> "NchoParams":
         return NchoParams(self.beta, self.alpha)
 
-    def as_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 _METHODS = ("MONTE_CARLO", "TENSOR_GAUSS")
 
@@ -86,17 +83,6 @@ class QuadratureResult:
     samples_or_nodes: int
     method: str  # MONTE_CARLO | TENSOR_GAUSS
     seed: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples_or_nodes": self.samples_or_nodes,
-            "method": self.method,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
 
 # ---------------------------------------------------------------------------

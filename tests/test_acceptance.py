@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetaforge import aperynum, exact, padic, resum, series, specval, spectra
+from zetaforge import aperynum, cli, exact, padic, resum, series, specval, spectra
 
 F = Fraction
 SQRT2 = math.sqrt(2.0)
@@ -70,7 +70,7 @@ def test_criterion_02_congruence_suite():
                 reports.append(aperynum.tj_supercongruence_check(s, p, 1, n))
     for p in (3, 5, 7, 11):
         reports.append(aperynum.los_square_sum_check(p))
-    bad = [r.to_dict() for r in reports if not r.ok]
+    bad = [cli._jsonify(r) for r in reports if not r.ok]
     _report(
         "criterion-02 congruences",
         not bad,

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from zetaforge import aperynum
+from zetaforge import aperynum, cli
 from zetaforge.aperynum import (
     CongruenceReport,
     IndexNotIntegral,
@@ -309,5 +309,5 @@ class TestEtaCoefficientCongruences:
             asd_congruence_check("A2", 5, 2, 2)
 
     def test_report_schema(self):
-        d = supercongruence_check("A2", 5, 1, 1).to_dict()
+        d = cli._jsonify(supercongruence_check("A2", 5, 1, 1))
         assert set(d) >= {"kind", "params", "lhs_residue", "rhs_residue", "modulus", "ok"}

@@ -2,6 +2,8 @@
 
 import io
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -43,7 +45,7 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["value"] == "41/64"
         code, out = run_cli("--no-meta", "aperylike", "--family", "J", "--k", "3", "--n", "0")
-        assert json.loads(out)["value"] == {"HZ3": "2/1"}
+        assert json.loads(out)["value"] == {"HZ3": "2"}
 
     def test_hurwitz(self):
         code, out = run_cli("--no-meta", "hurwitz", "--s", "2", "--tau", "0.5")
@@ -127,7 +129,7 @@ class TestSpecialValuesMethod:
         assert code == 0
         assert rep["method"] == "TENSOR_GAUSS"
         assert rep["std_error"] == 0.0
-        assert "seed" not in rep  # a deterministic rule has no seed
+        assert rep["seed"] is None  # a deterministic rule has no seed
 
 
 class TestStochasticDeterminism:
@@ -183,32 +185,62 @@ class TestExitCodes:
         assert "3 a computation did not reach its certified accuracy" in epilog
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["qseries-verify", "--max-q", "0"],
-            ["partition", "--model", "ncho", "--t", "1"],
-            ["special-values", "--op", "zetaQ", "--alpha", "2"],
-            ["padic-zeta", "--p", "4", "--s", "2", "--tau", "1/5"],
+            (["qseries-verify", "--max-q", "0"], "max_exponent"),
+            (["partition", "--model", "ncho", "--t", "1"], "--alpha"),
+            (["special-values", "--op", "zetaQ", "--alpha", "2"], "--beta"),
+            (["padic-zeta", "--p", "4", "--s", "2", "--tau", "1/5"], "p must be"),
+            # a composite p: the first two passed, the last three reported a
+            # mismatch (exit 1) before the primality check
+            (["congruence", "--check", "asd", "--p", "9", "--m", "1", "--r", "2"], "prime p"),
+            (["congruence", "--check", "tj-super", "--p", "9", "--m", "1", "--n", "1"], "p must be"),
+            (["congruence", "--check", "super", "--p", "4"], "p must be"),
+            (["congruence", "--check", "los", "--p", "9"], "p must be"),
+            (["congruence", "--check", "pary", "--kind", "A2", "--p", "4", "--n", "7"], "p must be"),
+            # empty budgets and negative orders
+            (["special-values", "--op", "rkj", "--samples", "0"], "samples"),
+            (["ncho-spectrum", "--alpha", "2", "--beta", "1", "--count", "0"], "count"),
+            (["quasi-partition", "--t", "0.5", "--K", "-1"], "K"),
         ],
-        ids=["qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p"],
+        ids=[
+            "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
+            "asd-composite-p", "tj-super-composite-p", "super-composite-p",
+            "los-composite-p", "pary-composite-p",
+            "rkj-no-samples", "ncho-count-0", "quasi-partition-negative-K",
+        ],
     )
-    def test_malformed_input_is_a_typed_error(self, argv, capsys):
+    def test_malformed_input_is_a_typed_error(self, argv, named, capsys):
         code = cli.run(["--no-meta", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert named in captured.err
         assert "Traceback" not in captured.err
 
-    def test_mellin_zeta_has_no_bias_flag(self, capsys):
-        # the small-t model of the qrm route is the unbiased Rabi-Bernoulli
-        # table, so a bias would give a wrong value; the flag is refused
-        code = cli.run([
-            "--no-meta", "mellin-zeta", "--model", "qrm", "--s", "3", "--tau", "2",
-            "--g", "0.3", "--delta", "0.5", "--eps", "0.4",
-        ])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # the small-t model of the qrm route is the unbiased
+            # Rabi-Bernoulli table, so a bias would give a wrong value
+            ([
+                "mellin-zeta", "--model", "qrm", "--s", "3", "--tau", "2",
+                "--g", "0.3", "--delta", "0.5", "--eps", "0.4",
+            ], "--eps"),
+            # without its tail bracket a partition value is a lower bound
+            # reported with a zero error bar
+            ([
+                "partition", "--model", "qrm", "--g", "0.3", "--delta", "0.5",
+                "--t", "0.5", "--count", "10", "--tail", "NONE",
+            ], "--tail"),
+        ],
+        ids=["mellin-zeta-eps", "partition-tail"],
+    )
+    def test_removed_flag_is_refused(self, argv, flag, capsys):
+        code = cli.run(["--no-meta", *argv])
         assert code == 2
-        assert "--eps" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestFlagsAfterSubcommand:
@@ -233,6 +265,22 @@ class TestSpectrumCommands:
         code, out = run_cli("--no-meta", "partition", "--model", "qho", "--t", "1.0")
         rep = json.loads(out)
         assert abs(rep["value"] - math.exp(-0.5) / (1 - math.exp(-1))) < 1e-12
+
+
+class TestReadme:
+    def test_cli_examples_exit_zero(self):
+        # every `zetaforge ...` line of the README's CLI block, run in-process
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [
+            shlex.split(line, comments=True)
+            for line in block.splitlines()
+            if line.startswith("zetaforge ")
+        ]
+        assert examples
+        for argv in examples:
+            code, _ = run_cli(*argv[1:])
+            assert code == 0, " ".join(argv)
 
 
 class TestMeta:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from zetaforge import resum, specval, spectra
+from zetaforge import cli, resum, specval, spectra
 from zetaforge.resum import (
     BorelReport,
     OutOfStrip,
@@ -213,7 +213,7 @@ class TestBorelSum:
             assert abs(rep.borel_sum - 1.0) < z  # 1 + z/2 + O(z^2)
 
     def test_report_schema(self):
-        d = borel_sum_hurwitz(2, 0.5).to_dict()
+        d = cli._jsonify(borel_sum_hurwitz(2, 0.5))
         assert set(d) >= {
             "z",
             "borel_sum",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetaforge import aperynum, series
+from zetaforge import aperynum, cli, series
 from zetaforge.series import (
     EXACT_BOUND,
     GRID,
@@ -86,7 +86,11 @@ class TestPowerSeries:
 
     def test_json_entries(self):
         a = power_series((F(1, 2), 0, F(3)))
-        assert a.to_json_entries() == [
+        assert a.entries() == [
+            {"exponent": F(0), "coefficient": F(1, 2)},
+            {"exponent": F(2), "coefficient": F(3)},
+        ]
+        assert cli._jsonify(a.entries()) == [
             {"exponent": "0", "coefficient": "1/2"},
             {"exponent": "2", "coefficient": "3"},
         ]
@@ -305,7 +309,7 @@ class TestW2Identity:
         assert sum(1 for v in rep.variants if v["matched"]) == 1
 
     def test_report_pinned_at_q36(self):
-        assert verify_w2_identity(36).to_dict() == {
+        assert cli._jsonify(verify_w2_identity(36)) == {
             "matched": True,
             "convention_used": "eta-times-16",
             "first_mismatch": None,

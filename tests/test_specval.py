@@ -237,7 +237,6 @@ class TestZetaQ:
         p = NchoParams(2.0, 1.0)
         res = zetaQ_special(2, p, budget=1000, seed=7, method="TENSOR_GAUSS")
         assert res.method == "TENSOR_GAUSS" and res.seed is None
-        assert "seed" not in res.to_dict()
         assert abs(res.value - zetaQ2_closed(p)) < 1e-5 * zetaQ2_closed(p)
         assert zetaQ_special(2, p, budget=1000, seed=7).seed == 7
 
