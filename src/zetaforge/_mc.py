@@ -1,9 +1,11 @@
 """Reproducible Monte Carlo plumbing.
 
 Counter-based Philox streams keyed by (operation, parameters, seed), so a
-given job is bit-reproducible regardless of evaluation order, and shards
-can run independently and merge deterministically.  Monte Carlo batch
-statistics are merged in a fixed order; quadrature partials use math.fsum.
+given job is bit-reproducible regardless of evaluation order.  Integrands
+see cache-sized chunks of at most ``_CHUNK`` points whose columns are
+contiguous, taken in stream order, so chunking changes no sample and no
+result.  Monte Carlo batch statistics are merged in a fixed order;
+quadrature partials use math.fsum.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 _BATCH = 1 << 18
+# points per integrand call: a (_CHUNK, 4) block and the integrand's
+# temporaries fit in cache, and an 8 MB batch of 2^18 rows does not
+_CHUNK = 1 << 13
 
 
 def philox_rng(op: str, params: tuple, seed: int) -> np.random.Generator:
@@ -32,18 +37,25 @@ def mc_mean(
 ) -> Tuple[float, float, int]:
     """Mean and standard error of f over the unit cube [0,1]^dim.
 
-    ``f`` maps an (m, dim) array to an (m,) array.  Returns
-    (mean, std_error, n_used).  Each batch of up to ``_BATCH`` samples
-    contributes its count, mean and sum of squared deviations M2, merged in
-    batch order with the pairwise update of Chan, Golub and LeVeque, so a
-    large mean does not cancel the variance away.
+    ``f`` maps an (m, dim) array to an (m,) array; it is called on chunks
+    of at most ``_CHUNK`` rows whose columns ``x[:, i]`` are contiguous.
+    The chunks are drawn in stream order, so the samples are those of one
+    (m, dim) draw per batch.  Returns (mean, std_error, n_used).  Each batch
+    of up to ``_BATCH`` samples contributes its count, mean and sum of
+    squared deviations M2, merged in batch order with the pairwise update of
+    Chan, Golub and LeVeque, so a large mean does not cancel the variance
+    away.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n_done, mean, m2 = 0, 0.0, 0.0
+    buf = np.empty(min(_BATCH, samples))
     while n_done < samples:
         m = min(_BATCH, samples - n_done)
-        vals = f(rng.random((m, dim)))
+        vals = buf[:m]
+        for j in range(0, m, _CHUNK):
+            draw = rng.random((min(_CHUNK, m - j), dim))
+            vals[j : j + _CHUNK] = f(np.ascontiguousarray(draw.T).T)
         b_mean = float(np.mean(vals))
         b_m2 = float(np.sum((vals - b_mean) ** 2))
         n_new = n_done + m
@@ -66,20 +78,24 @@ def tensor_gauss(
 ) -> Tuple[float, int]:
     """Tensor-product Gauss-Legendre integral of f over [0,1]^dim.
 
-    Evaluates in slabs over the leading axes so dim = 4 stays in memory;
-    needs dim >= 2.
+    One slab per node of the last axis holds the grid of the leading axes
+    as the rows of a (dim, n^(dim-1)) array; ``f`` sees it in chunks of at
+    most ``_CHUNK`` points with contiguous columns.  Each slab is weighted
+    with one dot product and the slabs are summed with math.fsum.  Needs
+    dim >= 2.
     """
     x, w = gauss_legendre_unit(nodes_per_axis)
-    grids = np.meshgrid(*([x] * (dim - 1)), indexing="ij")
-    wgrid = np.ones_like(grids[0])
+    wflat = np.ones(nodes_per_axis ** (dim - 1))
     for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):
-        wgrid = wgrid * g
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    wflat = wgrid.ravel()
+        wflat = wflat * g.ravel()
+    cols = np.empty((dim, wflat.size))
+    for row, g in zip(cols, np.meshgrid(*([x] * (dim - 1)), indexing="ij")):
+        row[:] = g.ravel()
+    vals = np.empty(wflat.size)
     acc = []
     for i, xi in enumerate(x):
-        pts = np.concatenate(
-            [flat, np.full((flat.shape[0], 1), xi)], axis=1
-        )
-        acc.append(float(np.dot(wflat, f(pts)) * w[i]))
+        cols[-1] = xi
+        for j in range(0, wflat.size, _CHUNK):
+            vals[j : j + _CHUNK] = f(cols[:, j : j + _CHUNK].T)
+        acc.append(float(np.dot(wflat, vals) * w[i]))
     return math.fsum(acc), nodes_per_axis**dim

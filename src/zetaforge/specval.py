@@ -286,6 +286,8 @@ def _cube_quadrature(
     """int over [0,1]^dim of f: tensor Gauss on about ``budget`` nodes, or
     ``budget`` Monte Carlo samples from the Philox stream (op, params)."""
     _check_method(method)
+    if budget < 1:
+        raise ValueError("samples must be at least 1")
     if method == "TENSOR_GAUSS":
         n_axis = max(4, int(round(budget ** (1.0 / dim))))
         val, nodes = _mc.tensor_gauss(f, dim, n_axis)

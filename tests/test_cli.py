@@ -200,6 +200,12 @@ class TestExitCodes:
             (["congruence", "--check", "pary", "--kind", "A2", "--p", "4", "--n", "7"], "p must be"),
             # empty budgets and negative orders
             (["special-values", "--op", "rkj", "--samples", "0"], "samples"),
+            # a tensor-Gauss budget below 1 gave a complex node count (a
+            # TypeError traceback) or a silent 4-node grid
+            (["special-values", "--op", "rkj", "--method", "TENSOR_GAUSS", "--samples", "-1"],
+             "samples"),
+            (["special-values", "--op", "rkj", "--method", "TENSOR_GAUSS", "--samples", "0"],
+             "samples"),
             (["ncho-spectrum", "--alpha", "2", "--beta", "1", "--count", "0"], "count"),
             (["quasi-partition", "--t", "0.5", "--K", "-1"], "K"),
         ],
@@ -207,7 +213,8 @@ class TestExitCodes:
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
             "asd-composite-p", "tj-super-composite-p", "super-composite-p",
             "los-composite-p", "pary-composite-p",
-            "rkj-no-samples", "ncho-count-0", "quasi-partition-negative-K",
+            "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
+            "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

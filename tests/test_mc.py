@@ -1,10 +1,16 @@
-"""Monte Carlo plumbing: merged batch statistics and reproducibility."""
+"""Monte Carlo plumbing: merged batch statistics, reproducibility, and the
+chunked evaluation that must leave every result bit-identical."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
-from zetaforge import _mc
+import zetaforge
+from zetaforge import _mc, specval
 
 
 def test_standard_error_survives_a_large_mean():
@@ -34,3 +40,89 @@ def test_bit_reproducible():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def _mc_mean_one_draw(f, dim, samples, rng):
+    """The unchunked algorithm: one (m, dim) draw and one call of f per batch."""
+    n_done, mean, m2 = 0, 0.0, 0.0
+    while n_done < samples:
+        m = min(_mc._BATCH, samples - n_done)
+        vals = f(rng.random((m, dim)))
+        b_mean = float(np.mean(vals))
+        b_m2 = float(np.sum((vals - b_mean) ** 2))
+        n_new = n_done + m
+        delta = b_mean - mean
+        mean += delta * m / n_new
+        m2 += b_m2 + delta * delta * n_done * m / n_new
+        n_done = n_new
+    return mean, math.sqrt(m2 / n_done / n_done), n_done
+
+
+# two full batches, then a remainder of three full chunks and a partial one
+CHUNKED_SAMPLES = 2 * _mc._BATCH + 3 * _mc._CHUNK + 5
+
+
+def test_chunks_are_bit_identical_to_one_draw_per_batch():
+    f = specval._rkj_integrand(4, 2, 0.3)
+    got = _mc.mc_mean(f, 4, CHUNKED_SAMPLES, _mc.philox_rng("chunks", (), 11))
+    want = _mc_mean_one_draw(f, 4, CHUNKED_SAMPLES, _mc.philox_rng("chunks", (), 11))
+    assert got == want
+
+
+def test_integrand_sees_small_chunks_with_contiguous_columns():
+    calls = []
+
+    def f(x):
+        calls.append((x.shape, all(x[:, i].flags.c_contiguous for i in range(x.shape[1]))))
+        return x.sum(axis=1)
+
+    _mc.mc_mean(f, 3, CHUNKED_SAMPLES, _mc.philox_rng("layout", (), 0))
+    assert sum(shape[0] for shape, _ in calls) == CHUNKED_SAMPLES
+    assert all(shape[0] <= _mc._CHUNK and shape[1] == 3 for shape, _ in calls)
+    assert all(contiguous for _, contiguous in calls)
+
+
+def _tensor_gauss_slabs(f, dim, nodes_per_axis):
+    """The unchunked algorithm: one (n^(dim-1), dim) slab per last-axis node."""
+    x, w = _mc.gauss_legendre_unit(nodes_per_axis)
+    grids = np.meshgrid(*([x] * (dim - 1)), indexing="ij")
+    wgrid = np.ones_like(grids[0])
+    for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):
+        wgrid = wgrid * g
+    flat = np.stack([g.ravel() for g in grids], axis=1)
+    wflat = wgrid.ravel()
+    acc = []
+    for i, xi in enumerate(x):
+        pts = np.concatenate([flat, np.full((flat.shape[0], 1), xi)], axis=1)
+        acc.append(float(np.dot(wflat, f(pts)) * w[i]))
+    return math.fsum(acc), nodes_per_axis**dim
+
+
+# (k, j, nodes per axis); 24^3 and 100^2 points per slab exceed _CHUNK
+@pytest.mark.parametrize("k, j, n", [(2, 1, 50), (3, 1, 30), (3, 1, 100), (4, 2, 24), (4, 1, 12)])
+def test_tensor_gauss_is_bit_identical_to_whole_slabs(k, j, n):
+    f = specval._rkj_integrand(k, j, 0.6)
+    assert _mc.tensor_gauss(f, k, n) == _tensor_gauss_slabs(f, k, n)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_integral_peak_memory_does_not_grow_with_the_batch():
+    # one 2^18 x 4 batch and its integrand temporaries grew the peak by about
+    # 53 MB; chunked evaluation keeps it near the 2 MB result buffer.  The
+    # peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of
+    # the process that spawned it, so under pytest it hides the growth.
+    code = (
+        "from zetaforge import specval\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+        "before = peak_kb()\n"
+        "specval.appendixB_integral('A', 1, 1, budget=2_000_000)\n"
+        "print(peak_kb() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(zetaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert int(out.stdout) < 24 * 1024
