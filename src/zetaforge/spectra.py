@@ -8,13 +8,13 @@ quasi-partition functions, Mellin-transform spectral zeta numerics, and the
 Rabi-Bernoulli polynomial family (exact table for k <= 2, fitted beyond).
 
 Both models conserve a Z2 parity, so each truncation splits into sectors
-that are solved in band storage: four tridiagonal chains of size about N/2
-for the oscillator, two chains of size N for the symmetric Rabi model, and
-one band of half-width 2 when a bias breaks the parity.  Each solve is cheap
-enough to run every time; nothing is cached.  Eigen-truncations are
-variational: every reported eigenvalue carries the |lambda_N - lambda_{N/2}|
-convergence estimate.  The dense ``*_truncated_matrix`` builders remain as
-the small-N reference the sectors are tested against.
+in band storage: four tridiagonal chains of size about N/2 for the
+oscillator, two chains of size N for the symmetric Rabi model, and one band
+of half-width 2 when a bias breaks the parity.  Side by side the sectors
+are one band, zero at every seam, so each truncation is one bisection call
+for the lowest eigenvalues of the union; nothing is cached.  Each eigenvalue
+carries the variational |lambda_N - lambda_{N/2}| convergence estimate; the
+dense ``*_truncated_matrix`` builders are the small-N test reference.
 """
 
 from __future__ import annotations
@@ -233,16 +233,16 @@ def _qrm_sectors(params: QrmParams, N: int) -> list:
 
 
 def _lowest(blocks: list, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of the block-diagonal matrix whose
-    blocks are given in lower band storage."""
-    vals = [
-        eig_banded(
-            b, lower=True, eigvals_only=True, select="i",
-            select_range=(0, min(count, b.shape[1]) - 1),
-        )
-        for b in blocks
-    ]
-    return np.sort(np.concatenate(vals))[:count]
+    """Lowest ``count`` eigenvalues, ascending, of the block-diagonal matrix
+    whose blocks are in lower band storage of one half-width.  Row i of a
+    block leaves its last i slots zero, so side by side the blocks are one
+    band, zero at every seam: one bisection splits it there and finds only
+    the lowest ``count`` of the union, not ``count`` per block."""
+    band = np.concatenate(blocks, axis=1)
+    return eig_banded(
+        band, lower=True, eigvals_only=True, select="i",
+        select_range=(0, min(count, band.shape[1]) - 1),
+    )
 
 
 def _solve(model: str, params, sectors: Callable, N: int, count: int,

@@ -7,7 +7,8 @@ and the four-dimensional A_{n,k}/B_{n,j} integral families.
 All cube quadratures work in the substituted coordinates u_i = 1 - v_i^2
 (Jacobian prod 2 v_i), which removes the corner singularity of the
 integrands at u = (1,...,1) and keeps the Monte Carlo variance finite, so
-the reported standard errors are meaningful.
+the reported standard errors are meaningful.  numpy and ``_mc`` are imported
+inside the cube integrals only, so the scalar routines load neither.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import _mc
 from .exact import bernoulli_number, hurwitz_zeta_nonpos
 
 __all__ = [
@@ -228,12 +226,16 @@ def _w_factors(k: int, j: int) -> Sequence[Tuple[float, Sequence[Sequence[int]]]
 def _cube_sub(v: np.ndarray):
     """The finite-variance substitution u = 1 - v^2 at sample rows v:
     (Jacobian prod 2 v_i, u^2, u^4)."""
+    import numpy as np
+
     u = 1.0 - v * v
     u2 = u * u
     return np.prod(2.0 * v, axis=1), u2, u2 * u2
 
 
 def _abc(u4: np.ndarray, u2: np.ndarray):
+    import numpy as np
+
     a = 1.0 - np.prod(u2, axis=1)
     b = (1.0 - u4[:, 0] * u4[:, 1]) * (1.0 - u4[:, 2] * u4[:, 3])
     c = np.prod(1.0 - u4, axis=1)
@@ -250,6 +252,8 @@ def _r42_radicand(v: np.ndarray, k2: float):
 
 def _rkj_integrand(k: int, j: int, kappa: float):
     """Integrand over v in [0,1]^k with u_i = 1 - v_i^2; includes Jacobian."""
+    import numpy as np
+
     k2 = kappa * kappa
 
     if (k, j) == (4, 2):
@@ -285,6 +289,8 @@ def _cube_quadrature(
 ) -> QuadratureResult:
     """int over [0,1]^dim of f: tensor Gauss on about ``budget`` nodes, or
     ``budget`` Monte Carlo samples from the Philox stream (op, params)."""
+    from . import _mc
+
     _check_method(method)
     if budget < 1:
         raise ValueError("samples must be at least 1")
@@ -397,6 +403,8 @@ def appendixB_integral(
         raise ValueError("which must be 'A' or 'B'")
     if not (0 <= k_or_j <= n):
         raise ValueError("need 0 <= k (or j) <= n")
+    import numpy as np
+
     m = k_or_j
 
     def f(v: np.ndarray) -> np.ndarray:
@@ -440,6 +448,10 @@ def r42_order_of_contact(
     O(kappa^4) order of contact far below plain-MC noise.  Returns a list of
     {kappa, difference, std_error} dicts.
     """
+    import numpy as np
+
+    from . import _mc
+
     rng = _mc.philox_rng("r42_contact", tuple(float(k) for k in kappas), seed)
     kap = [float(k) for k in kappas]
 

@@ -1,10 +1,14 @@
 """Import-graph guards: importing zetaforge loads no heavy scipy subpackage,
-and a CLI job that is exact arithmetic loads neither numpy nor scipy.
+and a CLI job that is exact arithmetic, or float arithmetic on scalars,
+loads neither numpy nor scipy.
 
 scipy.integrate pulls in scipy.special, scipy.optimize and
 scipy.sparse.linalg, which cost about half a second per process; the
 package needs only scipy.linalg (for eig_banded).  numpy alone costs about
-0.15 s per process, which dominates a small exact job."""
+0.15 s per process, which dominates a small job.  specval imports numpy
+only inside its cube integrals, so its scalar routines (Hurwitz zeta, the
+closed form of zeta_Q(2), the R_{k,1} series) and the Borel sums and
+formal power series built on them stay free of it."""
 
 import os
 import pkgutil
@@ -51,8 +55,17 @@ EXACT_JOBS = {
 }
 
 
-@pytest.mark.parametrize("argv", EXACT_JOBS.values(), ids=EXACT_JOBS.keys())
-def test_exact_job_loads_no_numpy(argv):
+FLOAT_JOBS = {
+    "hurwitz": ["hurwitz", "--s", "3", "--tau", "0.5"],
+    "zetaQ2-closed": ["special-values", "--op", "zetaQ2-closed", "--alpha", "2", "--beta", "1"],
+    "r-series": ["special-values", "--op", "r-series", "--k", "3", "--kappa", "0.3", "--n-max", "20"],
+    "borel": ["borel", "--n", "2", "--z", "0.3"],
+    "divergence": ["divergence", "--n", "2", "--tau", "1/3", "--K", "8"],
+}
+
+
+def _loaded_heavy(argv) -> str:
+    """Exit code and which of numpy and scipy are loaded after ``argv`` runs."""
     code = (
         "import contextlib, io, sys\n"
         "from zetaforge import cli\n"
@@ -60,4 +73,14 @@ def test_exact_job_loads_no_numpy(argv):
         f"    code = cli.run({argv!r})\n"
         "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
-    assert _run_python(code) == "0 []"
+    return _run_python(code)
+
+
+@pytest.mark.parametrize("argv", EXACT_JOBS.values(), ids=EXACT_JOBS.keys())
+def test_exact_job_loads_no_numpy(argv):
+    assert _loaded_heavy(argv) == "0 []"
+
+
+@pytest.mark.parametrize("argv", FLOAT_JOBS.values(), ids=FLOAT_JOBS.keys())
+def test_float_job_loads_no_numpy(argv):
+    assert _loaded_heavy(argv) == "0 []"

@@ -83,22 +83,43 @@ SECTOR_CASES = [
 
 
 class TestSectorSolver:
-    @pytest.mark.parametrize("N", [16, 64, 127])
+    # count = N is as many as the solvers may return; the smaller counts
+    # take part of the union, and 7 and 45 fall unevenly across the chains
+    @pytest.mark.parametrize(
+        "N,count",
+        [
+            pytest.param(16, 16, id="16"),
+            pytest.param(64, 64, id="64"),
+            pytest.param(127, 127, id="127"),
+            pytest.param(16, 1, id="16-count1"),
+            pytest.param(64, 7, id="64-count7"),
+            pytest.param(127, 45, id="127-count45"),
+        ],
+    )
     @pytest.mark.parametrize("model,params", SECTOR_CASES)
-    def test_matches_dense_reference(self, model, params, N):
-        # the lowest N eigenvalues: as many as the solvers may return
+    def test_matches_dense_reference(self, model, params, N, count):
         if model == "ncho":
             sectors, dense = spectra._ncho_sectors(params, N), ncho_truncated_matrix(params, N)
         else:
             sectors, dense = spectra._qrm_sectors(params, N), qrm_truncated_matrix(params, N)
         assert sum(b.shape[1] for b in sectors) == dense.shape[0]
-        ref = eigh(dense, eigvals_only=True, subset_by_index=(0, N - 1))
-        assert np.max(np.abs(spectra._lowest(sectors, N) - ref)) <= 1e-12
+        ref = eigh(dense, eigvals_only=True, subset_by_index=(0, count - 1))
+        vals = spectra._lowest(sectors, count)
+        assert vals.shape == (count,) and np.all(np.diff(vals) >= 0)
+        assert np.max(np.abs(vals - ref)) <= 1e-12
 
     def test_sector_shapes(self):
-        assert [b.shape for b in spectra._ncho_sectors(NchoParams(2.0, 1.0), 9)] == [(2, 5)] * 2 + [(2, 4)] * 2
-        assert [b.shape for b in spectra._qrm_sectors(QrmParams(0.4, 0.7), 9)] == [(2, 9)] * 2
-        assert [b.shape for b in spectra._qrm_sectors(QrmParams(0.4, 0.7, 0.3), 9)] == [(3, 18)]
+        ncho = spectra._ncho_sectors(NchoParams(2.0, 1.0), 9)
+        qrm = spectra._qrm_sectors(QrmParams(0.4, 0.7), 9)
+        biased = spectra._qrm_sectors(QrmParams(0.4, 0.7, 0.3), 9)
+        assert [b.shape for b in ncho] == [(2, 5)] * 2 + [(2, 4)] * 2
+        assert [b.shape for b in qrm] == [(2, 9)] * 2
+        assert [b.shape for b in biased] == [(3, 18)]
+        # _lowest lays the sectors side by side as one band; the unused
+        # trailing slots of each sub-diagonal row make every seam zero
+        for band in ncho + qrm + biased:
+            for i in range(1, band.shape[0]):
+                assert np.all(band[i, -i:] == 0.0)
 
     @pytest.mark.parametrize(
         "solve",
@@ -118,7 +139,8 @@ class TestSectorSolver:
 
 
 class TestDeepBounds:
-    """Proved eigenvalue bounds checked against deep truncations (N = 4096)."""
+    """Proved eigenvalue bounds (at N = 4096) and the N-versus-N/2
+    convergence estimate (at 32 N) checked against deep truncations."""
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("delta,eps", [(0.3, 0.0), (1.2, 0.0), (0.7, 0.4)])
@@ -135,6 +157,28 @@ class TestDeepBounds:
     def test_ncho_pair_bounds(self, alpha, beta):
         spec = ncho_eigs(NchoParams(alpha, beta), N=4096, count=40, threshold=1e-8)
         assert ncho_eigen_bounds_ok(spec, slack=1e-9)
+
+    @pytest.mark.parametrize(
+        "model,params",
+        [("ncho", NchoParams(a, b)) for a, b in [(1.02, 1.0), (1.1, 0.95), (1.2, 1.0), (3.0, 1.5)]]
+        + [("qrm", QrmParams(g, 0.7)) for g in (0.5, 1.5, 3.0)]
+        + [("qrm", QrmParams(3.0, 0.7, 0.4))],
+    )
+    def test_convergence_estimate_bounds_deep_error(self, model, params):
+        # the N-versus-N/2 estimate must cover the distance to the truncation
+        # at 32 N, up to rounding; on this grid the estimates at small N are
+        # far above rounding noise (up to 22 at N = 32)
+        sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
+        count = 32
+        for N in (32, 64, 128, 256):
+            blocks = sectors(params, N)
+            band = np.concatenate(blocks, axis=1)
+            norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1:]).max(axis=1).sum()  # Gershgorin
+            lam = spectra._lowest(blocks, count)
+            estimate = np.abs(lam - spectra._lowest(sectors(params, N // 2), count))
+            error = np.abs(lam - spectra._lowest(sectors(params, 32 * N), count))
+            slack = 64.0 * np.finfo(float).eps * norm
+            assert np.all(error <= estimate + slack), (N, np.max(error - estimate))
 
 
 class TestNchoEigs:
