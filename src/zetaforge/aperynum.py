@@ -15,6 +15,7 @@ probe).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -119,8 +120,6 @@ class ZetaCombo:
 # classical Apery sequences
 # ---------------------------------------------------------------------------
 
-import threading
-
 _SEQ_LOCK = threading.Lock()
 _A2: list = [1, 3]
 _B2: list = [Fraction(0), Fraction(5)]
@@ -128,25 +127,20 @@ _A3: list = [1, 5]
 _B3: list = [Fraction(0), Fraction(6)]
 
 
-def _extend_zeta2(table: list, n: int) -> None:
+# m^d u(m) = a(m) u(m-1) + b(m) u(m-2), as (d, a, b), for zeta(2) and zeta(3)
+_ZETA2 = (2, lambda m: 11 * m * m - 11 * m + 3, lambda m: (m - 1) ** 2)
+_ZETA3 = (3, lambda m: 34 * m**3 - 51 * m * m + 27 * m - 5, lambda m: -(m - 1) ** 3)
+
+
+def _extend(table: list, n: int, d: int, a, b) -> None:
+    """Grow table through index n by the recurrence (d, a, b); an integer
+    table must stay integral."""
     with _SEQ_LOCK:
         integral = isinstance(table[0], int)
         while len(table) <= n:
             m = len(table)
-            val = (11 * m * m - 11 * m + 3) * table[m - 1] + (m - 1) ** 2 * table[m - 2]
-            table.append(_exact_div(val, m * m) if integral else val / (m * m))
-
-
-def _extend_zeta3(table: list, n: int) -> None:
-    with _SEQ_LOCK:
-        integral = isinstance(table[0], int)
-        while len(table) <= n:
-            m = len(table)
-            val = (
-                (34 * m**3 - 51 * m * m + 27 * m - 5) * table[m - 1]
-                - (m - 1) ** 3 * table[m - 2]
-            )
-            table.append(_exact_div(val, m**3) if integral else val / (m**3))
+            val = a(m) * table[m - 1] + b(m) * table[m - 2]
+            table.append(_exact_div(val, m**d) if integral else val / m**d)
 
 
 def _exact_div(val: int, den: int) -> int:
@@ -160,7 +154,7 @@ def apery2(n: int) -> int:
     """n-th Apery number for zeta(2) via its recurrence; integrality asserted."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    _extend_zeta2(_A2, n)
+    _extend(_A2, n, *_ZETA2)
     return _A2[n]
 
 
@@ -168,7 +162,7 @@ def apery2_b(n: int) -> Fraction:
     """Companion sequence B2(n) (rational) from the same recurrence."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    _extend_zeta2(_B2, n)
+    _extend(_B2, n, *_ZETA2)
     return _B2[n]
 
 
@@ -176,14 +170,14 @@ def apery3(n: int) -> int:
     """n-th Apery number for zeta(3) via its recurrence; integrality asserted."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    _extend_zeta3(_A3, n)
+    _extend(_A3, n, *_ZETA3)
     return _A3[n]
 
 
 def apery3_b(n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be non-negative")
-    _extend_zeta3(_B3, n)
+    _extend(_B3, n, *_ZETA3)
     return _B3[n]
 
 
@@ -208,6 +202,16 @@ def _central_sq(k: int) -> Fraction:
     return c * c
 
 
+def _nest(inner: list) -> list:
+    """One nesting level: out[k] = sum_{j < k} inner[j]/(j + 1/2)^2."""
+    out = [Fraction(0)] * len(inner)
+    acc = Fraction(0)
+    for j in range(len(inner) - 1):
+        acc += inner[j] / (Fraction(2 * j + 1, 2) ** 2)
+        out[j + 1] = acc
+    return out
+
+
 def _zsum_even(s: int, kmax: int) -> list:
     """Prefix tables of the nested even sums:
 
@@ -215,32 +219,16 @@ def _zsum_even(s: int, kmax: int) -> list:
     """
     e = [Fraction(1)] * (kmax + 1)
     for _ in range(s):
-        nxt = [Fraction(0)] * (kmax + 1)
-        acc = Fraction(0)
-        for k in range(1, kmax + 1):
-            j = k - 1
-            acc += e[j] / (Fraction(2 * j + 1, 2) ** 2)
-            nxt[k] = acc
-        e = nxt
+        e = _nest(e)
     return e
 
 
 def _zsum_odd(s: int, kmax: int) -> list:
-    """Nested odd sums: innermost factor 1/(j+1/2)^3 * C(-1/2,j)^{-2}."""
-    o = [Fraction(0)] * (kmax + 1)
-    acc = Fraction(0)
-    for k in range(1, kmax + 1):
-        j = k - 1
-        acc += 1 / (Fraction(2 * j + 1, 2) ** 3 * _central_sq(j))
-        o[k] = acc
-    for _ in range(s - 1):
-        nxt = [Fraction(0)] * (kmax + 1)
-        acc = Fraction(0)
-        for k in range(1, kmax + 1):
-            j = k - 1
-            acc += o[j] / (Fraction(2 * j + 1, 2) ** 2)
-            nxt[k] = acc
-        o = nxt
+    """Nested odd sums, s >= 1: the innermost factor is 1/(j+1/2)^3 *
+    C(-1/2,j)^{-2} in place of 1/(j+1/2)^2."""
+    o = [1 / (Fraction(2 * j + 1, 2) * _central_sq(j)) for j in range(kmax + 1)]
+    for _ in range(s):
+        o = _nest(o)
     return o
 
 

@@ -4,9 +4,11 @@ A value is p^v * u with u a unit known modulo p^N; precision tracking is
 explicit (subtraction records valuation loss, results below four certified
 digits raise PrecisionExhausted).  On top of the field arithmetic live the
 Teichmuller character, the principal-unit projection, Volkenborn integrals
-of polynomials, the p-adic Hurwitz zeta function (integer order) with a
-certified tail valuation, its shifted variant, and the p-adic convergence
-ledger of the archimedean-divergent formal series.
+of polynomials, the p-adic Hurwitz zeta function (integer order) and its
+shifted variant, and the p-adic convergence ledger of the
+archimedean-divergent formal series.  The plain and the shifted Hurwitz
+function are one series, sum_k C(1-s, k) c_k tau^{-k} with c_k = B_k or
+B_k(x), with one certified tail valuation.
 
 Convention for |tau|_p > 1: tau = p^v u splits into the tracked valuation
 factor p^v and the unit u; <tau> = u/omega(u) and the extended character is
@@ -331,15 +333,14 @@ def _require_outside_zp(tau: Padic) -> None:
         raise TauInZp("need |tau|_p > 1")
 
 
-def padic_hurwitz_zeta(
-    s: int, tau, p: int, K: Optional[int] = None, prec: int = 20
-) -> Padic:
-    """zeta_p(s, tau) = (<tau>^{1-s}/(s-1)) sum_k C(1-s, k) B_k tau^{-k}
-    for integer s != 1 and rational tau with |tau|_p > 1.
+def _hurwitz_series(s: int, tau, p: int, K: Optional[int], prec: int, coeff) -> Padic:
+    """(<tau>^{1-s}/(s-1)) sum_{k<=K} C(1-s, k) coeff(k) tau^{-k} for integer
+    s != 1 and rational tau with |tau|_p > 1; coeff(k) is B_k, or B_k(x)
+    for the shifted series.
 
-    The sum is truncated at K with a certified tail: term k has valuation
-    at least k*|v(tau)| - 1, so K defaults to enough terms for the requested
-    precision.  The series is accumulated exactly in the rationals.
+    Term k has valuation at least k*|v(tau)| - 1, so K defaults to enough
+    terms for the requested precision and the omitted tail certifies the
+    digits returned.  The series is accumulated exactly in the rationals.
     """
     tau_rat = Fraction(tau)
     tau_padic = Padic.from_rational(tau_rat, p, prec)
@@ -353,7 +354,7 @@ def padic_hurwitz_zeta(
     acc = Fraction(0)
     tp = Fraction(1)
     for k in range(K + 1):
-        acc += binom_general(1 - s, k) * bernoulli_number(k) * tp
+        acc += binom_general(1 - s, k) * coeff(k) * tp
         tp *= inv_tau
     series = Padic.from_rational(acc / (s - 1), p, prec + max(0, (K + 1) * a))
     bracket = angle_bracket(tau_padic).pow_int(1 - s)
@@ -363,40 +364,27 @@ def padic_hurwitz_zeta(
     tail_val = (K + 1) * a - 1 - padic_valuation(Fraction(s - 1), p)
     certified = min(result.prec, tail_val - result.val + bracket.val)
     if certified < _MIN_DIGITS:
-        raise PrecisionExhausted("certified tail below four digits; raise K")
+        raise PrecisionExhausted("certified tail below four digits; raise K or prec")
     return Padic(p, result.val, result.unit % p**certified, certified)
+
+
+def padic_hurwitz_zeta(
+    s: int, tau, p: int, K: Optional[int] = None, prec: int = 20
+) -> Padic:
+    """zeta_p(s, tau) = (<tau>^{1-s}/(s-1)) sum_k C(1-s, k) B_k tau^{-k}
+    for integer s != 1 and rational tau with |tau|_p > 1, truncated at K
+    with a certified tail (see _hurwitz_series)."""
+    return _hurwitz_series(s, tau, p, K, prec, bernoulli_number)
 
 
 def padic_hurwitz_shifted(s: int, tau, x, p: int, prec: int = 20) -> Padic:
     """Shifted series zeta_p(s, tau + x) = (<tau>^{1-s}/(s-1))
     sum_k C(1-s,k) B_k(x) tau^{-k} for rational tau and x, requiring
     |tau|_p > max(1, |x|_p)."""
-    tau_rat = Fraction(tau)
-    x = Fraction(x)
-    if s == 1:
-        raise SAtOne("pole at s = 1")
-    tau_padic = Padic.from_rational(tau_rat, p, prec)
-    _require_outside_zp(tau_padic)
-    if x != 0:
-        vx = padic_valuation(x, p)
-        if not tau_padic.val < vx:
-            raise DomainViolated("need |tau|_p > |x|_p")
-    a = -tau_padic.val
-    K = max(10, (prec + 2) // a + 2)
-    inv_tau = 1 / tau_rat
-    acc = Fraction(0)
-    tp = Fraction(1)
-    for k in range(K + 1):
-        acc += binom_general(1 - s, k) * bernoulli_poly(k, x) * tp
-        tp *= inv_tau
-    series = Padic.from_rational(acc / (s - 1), p, prec + max(0, (K + 1) * a))
-    bracket = angle_bracket(tau_padic).pow_int(1 - s)
-    result = bracket * series
-    tail_val = (K + 1) * a - 1 - padic_valuation(Fraction(s - 1), p)
-    certified = min(result.prec, tail_val - result.val + bracket.val)
-    if certified < _MIN_DIGITS:
-        raise PrecisionExhausted("certified tail below four digits; raise prec")
-    return Padic(p, result.val, result.unit % p**certified, certified)
+    tau, x = Fraction(tau), Fraction(x)
+    if x != 0 and tau != 0 and padic_valuation(tau, p) >= padic_valuation(x, p):
+        raise DomainViolated("need |tau|_p > |x|_p")
+    return _hurwitz_series(s, tau, p, None, prec, lambda k: bernoulli_poly(k, x))
 
 
 def padic_divergence_report(n: int, tau, p: int, K: int) -> dict:

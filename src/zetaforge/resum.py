@@ -9,9 +9,11 @@ diverges for every tau (factorial growth beats the Bernoulli decay), so the
 builders here return full term-magnitude ledgers and never claim
 convergence.  The Borel transform of the associated series in z = 1/tau is
 entire-enough along the positive axis, and its Laplace integral recovers
-z^{1-n} zeta(n, 1/z); both the transform (two analytic branches with a seam
-test) and the sum (split adaptive quadrature) are implemented with explicit
-error control.
+z^{1-n} zeta(n, 1/z).  The transform is one Bernoulli series for every real
+order s > 1, used below t = 1/2; at integer order the termwise
+differentiated exponential sum takes over above t = 1/2 and is checked
+against the series at that seam.  Both the transform and the sum (split
+adaptive quadrature) are implemented with explicit error control.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import Uncertified
-from ._quad import quad
+from ._quad import _half_line, quad
 from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
 
@@ -81,15 +83,13 @@ def _trace(rule: Callable[[int], float], K: int) -> list:
 
 
 def _shifted_trace(n: int, tau: float, coeffs: Sequence[float], K: int) -> list:
-    """_trace of 2 sum_k (-1)^k c_k (k+n-2)!/(k! (n-1)!) tau^{-(k+n-1)}."""
+    """_trace of 2 sum_k (-1)^k c_k (k+n-2)!/(k! (n-1)!) tau^{-(k+n-1)},
+    that is 2 sum_k (-1)^k c_k/k! A^(n)_k(tau)."""
     if n < 2:
         raise ValueError("need n >= 2")
 
     def rule(k: int) -> float:
-        binom = math.factorial(k + n - 2) / (
-            math.factorial(k) * math.factorial(n - 1)
-        )
-        return 2.0 * (-1.0) ** k * float(coeffs[k]) * binom * tau ** (-(k + n - 1))
+        return 2.0 * (-1.0) ** k * float(coeffs[k]) / math.factorial(k) * a_nj_closed(n, k, tau)
 
     return _trace(rule, K)
 
@@ -147,22 +147,39 @@ def fps_ncho(n: int, tau: float, fit, K: Optional[int] = None) -> dict:
 _SEAM = 0.5
 
 
-def _borel_small_t(n: int, t: float) -> float:
-    """Bernoulli-series branch: sum_k (-1)^k B_k (k+n-2)!/(k!^2 (n-1)!) t^k,
-    convergent for |t| < 2 pi.  Odd k >= 3 terms vanish (B_k = 0) and are
-    skipped so the stopping rule only sees live terms."""
+def _borel_series(s: float, t: float) -> float:
+    """Bernoulli series of the Borel transform,
+    sum_k (-1)^k B_k Gamma(k+s-1)/(Gamma(k+1)^2 Gamma(s)) t^k, for real
+    s > 1 (at integer s = n the coefficients are _fps_coeff(k, n)/k!),
+    convergent for |t| < 2 pi, summed over k < 400.
+
+    Term magnitudes are assembled in log space (|B_k| grows factorially and
+    would overflow double precision long before the partial sums settle
+    near the radius)."""
+    if t == 0.0:
+        return 1.0 / (s - 1.0)
     total = 0.0
-    k = 0
-    while True:
-        if k < 3 or k % 2 == 0:
-            c = float(_fps_coeff(k, n)) / math.factorial(k)
-            term = c * t**k
-            total += term
-            if k > 4 and abs(term) < 1e-18 * max(1.0, abs(total)):
-                break
-        k += 1
-        if k > 400:
-            raise QuadratureFailure("Bernoulli branch did not converge")
+    lg_s = math.lgamma(s)
+    log_t = math.log(t)
+    for k in range(400):
+        b = bernoulli_number(k)
+        if b == 0:
+            continue
+        log_mag = (
+            math.log(abs(b.numerator))
+            - math.log(b.denominator)
+            + math.lgamma(k + s - 1.0)
+            - 2.0 * math.lgamma(k + 1.0)
+            - lg_s
+            + k * log_t
+        )
+        sign = (-1.0) ** k * (1.0 if b > 0 else -1.0)
+        term = sign * math.exp(log_mag)
+        total += term
+        if k > 6 and abs(term) < 1e-18 * max(1.0, abs(total)):
+            break
+    else:
+        raise QuadratureFailure("Bernoulli series of the Borel transform did not converge")
     return total
 
 
@@ -197,23 +214,21 @@ def _borel_large_t(n: int, t: float) -> float:
 
 
 def borel_transform_hurwitz(n: int, t: float) -> float:
-    """Borel transform of the formal series, evaluated by two analytic
-    branches: the Bernoulli series below t = 1/2 and the termwise
-    differentiated exponential sum above (they agree at the seam)."""
+    """Borel transform of the formal series: the Bernoulli series
+    _borel_series(n, t) below t = 1/2 and the termwise differentiated
+    exponential sum above (the two agree at the seam)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if t < 0:
         raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return float(_fps_coeff(0, n))  # = 1/(n-1)
     if t < _SEAM:
-        return _borel_small_t(n, t)
+        return _borel_series(n, t)
     return _borel_large_t(n, t)
 
 
 def borel_seam_gap(n: int) -> float:
     """|branch difference| at the seam t = 1/2 (both branches are valid there)."""
-    return abs(_borel_small_t(n, _SEAM) - _borel_large_t(n, _SEAM))
+    return abs(_borel_series(n, _SEAM) - _borel_large_t(n, _SEAM))
 
 
 def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
@@ -229,15 +244,7 @@ def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
 
     low, err_low = quad(f_low, 0.0, 1.0, epsabs=1e-12)
 
-    def f_high(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        t = 1.0 + u / (1.0 - u)
-        if t / z > 745.0:
-            return 0.0
-        jac = 1.0 / (1.0 - u) ** 2
-        return math.exp(-t / z) * borel_transform_hurwitz(n, t) * jac
-
+    f_high = _half_line(lambda t: borel_transform_hurwitz(n, t), 1.0 / z)
     high, err_high = quad(f_high, 0.0, 1.0, epsabs=1e-12)
     if not (math.isfinite(low) and math.isfinite(high)):
         raise QuadratureFailure("Laplace integral diverged")
@@ -303,50 +310,16 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
     return pref * val, abs(pref) * err
 
 
-def _borel_transform_fractional(s: float, t: float) -> float:
-    """sum_k (-1)^k B_k Gamma(k+s-1)/(Gamma(k+1)^2 Gamma(s)) t^k,
-    convergent for |t| < 2 pi, summed over k < 400.
-
-    Term magnitudes are assembled in log space (|B_k| grows factorially and
-    would overflow double precision long before the partial sums settle
-    near the radius)."""
-    if t == 0.0:
-        return 1.0 / (s - 1.0)
-    total = 0.0
-    lg_s = math.lgamma(s)
-    log_t = math.log(t)
-    for k in range(400):
-        b = bernoulli_number(k)
-        if b == 0:
-            continue
-        log_mag = (
-            math.log(abs(b.numerator))
-            - math.log(b.denominator)
-            + math.lgamma(k + s - 1.0)
-            - 2.0 * math.lgamma(k + 1.0)
-            - lg_s
-            + k * log_t
-        )
-        sign = (-1.0) ** k * (1.0 if b > 0 else -1.0)
-        term = sign * math.exp(log_mag)
-        total += term
-        if k > 6 and abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    else:
-        raise QuadratureFailure("fractional Borel transform did not converge")
-    return total
-
-
 def _borel_sum_fractional_laplace(s: float, z: float) -> tuple:
     """(1/z) int_0^T e^{-t/z} B_s(t) dt with T below the 2 pi convergence
     radius of the series branch; the truncated tail is reported as error."""
     T = min(5.0, max(1.0, 30.0 * z))
 
     def f(t: float) -> float:
-        return math.exp(-t / z) * _borel_transform_fractional(s, t)
+        return math.exp(-t / z) * _borel_series(s, t)
 
     val, err = quad(f, 0.0, T, epsabs=1e-12)
-    tail = math.exp(-T / z) * abs(_borel_transform_fractional(s, T)) * z
+    tail = math.exp(-T / z) * abs(_borel_series(s, T)) * z
     return val / z, err / z + tail / z
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from . import Uncertified, _mc
-from ._quad import quad
+from ._quad import _half_line, quad
 from .exact import hurwitz_zeta_nonpos
 from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
 
@@ -250,8 +250,10 @@ def _solve(model: str, params, sectors: Callable, N: int, count: int,
     """Solve at N and N/2, certify convergence, and wrap the result."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count > N:
-        raise ValueError("count must not exceed N (half the truncated matrix)")
+    if count > 2 * (N // 2):
+        raise ValueError(
+            f"count must not exceed {2 * (N // 2)}, the size of the N // 2 truncation"
+        )
     full = _lowest(sectors(params, N), count)
     conv = np.abs(full - _lowest(sectors(params, N // 2), count))
     if conv.max() > threshold:
@@ -332,38 +334,35 @@ def ncho_eigen_bounds_ok(spec: SpectrumResult, slack: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _geom_tail(t: float, mult: int, first: float, gap: float) -> float:
-    """mult * sum_{m>=0} e^{-t(first + m*gap)}."""
-    return mult * math.exp(-t * first) / -math.expm1(-t * gap)
+def _tail_bracket(
+    spec: SpectrumResult, head: float, progression_sum: Callable[[int, float, float], float]
+) -> Tuple[float, float]:
+    """(midpoint, half_width) of head plus the sum of a decreasing function
+    of the eigenvalue over the not-computed part of the spectrum.
 
-
-def _comparison_spectrum(spec: SpectrumResult) -> Tuple[tuple, tuple]:
-    """Two arithmetic progressions (multiplicity, first value, gap) that
-    bound the not-computed eigenvalues term by term, from below and from
-    above, by the model's two-sided eigenvalue bounds."""
+    The model's two-sided eigenvalue bounds give two arithmetic progressions
+    (multiplicity, first value, gap) that bound the not-computed eigenvalues
+    term by term, from below and from above; progression_sum(mult, first,
+    gap) sums the function over one of them, so the progression from above
+    gives the lower bound and the one from below the upper bound."""
     n = len(spec.eigenvalues)
     if spec.model == "qho":
-        exact = (1, n + 0.5, 1.0)
-        return exact, exact
-    if spec.model not in ("ncho", "qrm"):
+        below = above = (1, n + 0.5, 1.0)
+    elif spec.model not in ("ncho", "qrm"):
         raise ValueError(f"unknown model {spec.model!r}")
-    if n % 2 != 0:
+    elif n % 2 != 0:
         raise ValueError("tail bracket expects an even eigenvalue count")
-    if spec.model == "ncho":
+    elif spec.model == "ncho":
         lo, hi = _ncho_slope_bounds(spec.params)
         j0 = n // 2 + 1  # first pair not computed
-        return (2, lo * (j0 - 0.5), lo), (2, hi * (j0 - 0.5), hi)
-    g2 = spec.params.g ** 2
-    d = spec.params.delta + abs(spec.params.eps)
-    m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
-    return (2, m0 - g2 - d, 1.0), (2, m0 - g2 + d, 1.0)
-
-
-def _tail_bracket(spec: SpectrumResult, t: float) -> Tuple[float, float]:
-    """(lower, upper) bounds on sum over the not-computed part of the
-    spectrum: the comparison progressions summed as geometric series."""
-    below, above = _comparison_spectrum(spec)
-    return _geom_tail(t, *above), _geom_tail(t, *below)
+        below, above = (2, lo * (j0 - 0.5), lo), (2, hi * (j0 - 0.5), hi)
+    else:
+        g2 = spec.params.g ** 2
+        d = spec.params.delta + abs(spec.params.eps)
+        m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
+        below, above = (2, m0 - g2 - d, 1.0), (2, m0 - g2 + d, 1.0)
+    lower, upper = progression_sum(*above), progression_sum(*below)
+    return head + 0.5 * (lower + upper), 0.5 * abs(upper - lower)
 
 
 def partition_from_spectrum(
@@ -383,9 +382,12 @@ def partition_from_spectrum(
         return head, 0.0
     if tail != "QHO_BOUND":
         raise ValueError("tail must be NONE or QHO_BOUND")
-    lo, hi = _tail_bracket(spec, t)
-    value = head + 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+
+    def geometric(mult: int, first: float, gap: float) -> float:
+        # mult * sum_{m>=0} e^{-t(first + m*gap)}
+        return mult * math.exp(-t * first) / -math.expm1(-t * gap)
+
+    value, half = _tail_bracket(spec, head, geometric)
     if half > 0.1 * value:
         raise TailDominates(
             f"tail half-width {half:.3e} exceeds 10% of Z = {value:.3e}"
@@ -614,20 +616,11 @@ def spectral_zeta_mellin(
     cut = jump ** (1.0 / m) if 0.0 < jump < 1.0 else 0.0
     low = u0 * f_low(u0) + quad_split(f_low, u0, cut)
 
-    # [1, inf) with t = 1 + u/(1-u); the e^{-tau t} damping is evaluated
-    # first so Z is never called where the weight has underflowed to zero
-    # (shifted spectra may have a negative ground state, and exp(-lam*t)
-    # would overflow at the far end of the mapped interval)
-    def f_high(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        t = 1.0 + u / (1.0 - u)
-        damping = math.exp(-tau * t) if tau * t < 745.0 else 0.0
-        if damping == 0.0 and tau > 0:
-            return 0.0
-        jac = 1.0 / (1.0 - u) ** 2
-        return t ** (s - 1.0) * zf(t) * damping * jac
-
+    # [1, inf) with t = 1 + u/(1-u); Z is never called where the weight
+    # e^{-tau t} has underflowed to zero (shifted spectra may have a negative
+    # ground state, and exp(-lam*t) would overflow at the far end of the
+    # mapped interval)
+    f_high = _half_line(lambda t: t ** (s - 1.0) * zf(t), tau)
     high = quad_split(f_high, 0.0, 1.0 - 1.0 / jump if jump > 1.0 else 0.0)
     if not (math.isfinite(low) and math.isfinite(high)):
         raise NonIntegrable("Mellin integral did not converge")
@@ -662,14 +655,12 @@ def spectral_zeta_direct(
     """sum_j (lambda_j + tau)^{-s} over the computed spectrum plus the
     two-sided tail bracket; returns (midpoint, half_width)."""
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
-    below, above = _comparison_spectrum(spec)
 
     def zeta_tail(mult: int, first: float, gap: float) -> float:
         # mult * sum_{m>=0} (first + m*gap + tau)^{-s}
         return mult * gap**-s * float(hurwitz_zeta_num(s, (first + tau) / gap))
 
-    lower, upper = zeta_tail(*above), zeta_tail(*below)
-    return head + 0.5 * (lower + upper), 0.5 * abs(upper - lower)
+    return _tail_bracket(spec, head, zeta_tail)
 
 
 # ---------------------------------------------------------------------------

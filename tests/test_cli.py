@@ -208,6 +208,12 @@ class TestExitCodes:
              "samples"),
             (["ncho-spectrum", "--alpha", "2", "--beta", "1", "--count", "0"], "count"),
             (["quasi-partition", "--t", "0.5", "--K", "-1"], "K"),
+            # an odd N: the N // 2 truncation holds only N - 1 eigenvalues,
+            # which ended in a numpy broadcast error
+            (["ncho-spectrum", "--alpha", "3", "--beta", "1.5", "--n-basis", "127", "--count", "127"],
+             "N // 2 truncation"),
+            (["qrm-spectrum", "--g", "0.5", "--delta", "0.7", "--n-basis", "127", "--count", "127"],
+             "N // 2 truncation"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -215,6 +221,7 @@ class TestExitCodes:
             "los-composite-p", "pary-composite-p",
             "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
+            "ncho-odd-N-count-N", "qrm-odd-N-count-N",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from zetaforge._quad import _WG, _XGK, IntegrationWarning, _gk21, quad
-from zetaforge.resum import _borel_transform_fractional, borel_transform_hurwitz
+from zetaforge._quad import _WG, _XGK, IntegrationWarning, _gk21, _half_line, quad
+from zetaforge.resum import _borel_series, borel_transform_hurwitz
 
 
 def qho_partition(t: float) -> float:
@@ -76,6 +76,40 @@ def test_polynomial_takes_one_rule():
     assert len(calls) == 2 * 21
 
 
+HALF_LINE = [
+    # int_1^inf g(t) e^{-rate t} dt in closed form
+    ("exp", lambda t: 1.0, 2.0, math.exp(-2.0) / 2.0),
+    ("t-exp", lambda t: t, 0.5, math.exp(-0.5) * (1.0 / 0.5 + 1.0 / 0.5**2)),
+    ("t2-exp", lambda t: t * t, 3.0, math.exp(-3.0) * (1.0 / 3.0 + 2.0 / 9.0 + 2.0 / 27.0)),
+    ("inverse-square", lambda t: t**-2.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("name,g,rate,exact", HALF_LINE, ids=[c[0] for c in HALF_LINE])
+def test_half_line_closed_forms(name, g, rate, exact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, abserr = quad(_half_line(g, rate), 0.0, 1.0, epsabs=1e-12)
+    assert abs(value - exact) <= max(abserr, 1e-15 * exact)
+    assert abserr <= 1e-8 * exact
+
+
+def test_half_line_skips_g_where_the_weight_underflows():
+    # g overflows far out, as exp(-lambda t) does for a negative eigenvalue;
+    # it must never be called where e^{-rate t} is zero
+    rate, lam = 2.0, -1.5
+
+    def g(t):
+        assert rate * t < 745.0, t
+        return math.exp(-lam * t)
+
+    f = _half_line(g, rate)
+    assert f(1.0 - 1e-12) == 0.0 and f(1.0) == 0.0
+    value, abserr = quad(f, 0.0, 1.0, epsabs=1e-12)
+    exact = math.exp(-(rate + lam)) / (rate + lam)
+    assert abs(value - exact) <= abserr
+
+
 STOPS = [
     ("divergent", lambda x: 1.0 / x, 0.0, 1.0, 1e-12, "limit of 200"),
     ("oscillating", lambda x: math.sin(1.0 / x) / x, 1e-6, 1.0, 1e-12, "limit of 200"),
@@ -113,7 +147,7 @@ def _borel_high(n, z):
 
 
 def _borel_fractional(s):
-    return lambda t: math.exp(-t / 0.3) * _borel_transform_fractional(s, t)
+    return lambda t: math.exp(-t / 0.3) * _borel_series(s, t)
 
 
 def _mellin_m(s):

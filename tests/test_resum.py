@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from zetaforge import cli, resum, specval, spectra
+from zetaforge.exact import _fps_coeff
 from zetaforge.resum import (
     BorelReport,
     OutOfStrip,
@@ -188,6 +189,26 @@ class TestBorelTransform:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_branch_seam(self, n):
         assert borel_seam_gap(n) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_series_below_seam(self, n):
+        # below t = 1/2 the transform is the Bernoulli series in log space;
+        # both the exponential sum and the series on the exact coefficients
+        # _fps_coeff(k, n)/k! summed in floats must agree with it
+        def exact_coefficient_series(t):
+            total, k = 0.0, 0
+            while True:
+                term = float(_fps_coeff(k, n)) / math.factorial(k) * t**k
+                total += term
+                if k > 4 and term != 0.0 and abs(term) < 1e-18 * max(1.0, abs(total)):
+                    return total
+                k += 1
+
+        for t in np.linspace(0.05, 0.5, 46):
+            t = float(t)
+            value = borel_transform_hurwitz(n, t)
+            assert abs(value - resum._borel_large_t(n, t)) <= 1e-14 * abs(value), t
+            assert abs(value - exact_coefficient_series(t)) <= 1e-14 * abs(value), t
 
 
 class TestBorelSum:
