@@ -333,21 +333,25 @@ def _require_outside_zp(tau: Padic) -> None:
         raise TauInZp("need |tau|_p > 1")
 
 
-def _hurwitz_series(s: int, tau, p: int, K: Optional[int], prec: int, coeff) -> Padic:
+def _hurwitz_series(
+    s: int, tau, p: int, K: Optional[int], prec: int, coeff, loss: int = 0
+) -> Padic:
     """(<tau>^{1-s}/(s-1)) sum_{k<=K} C(1-s, k) coeff(k) tau^{-k} for integer
     s != 1 and rational tau with |tau|_p > 1; coeff(k) is B_k, or B_k(x)
     for the shifted series.
 
-    Term k has valuation at least k*|v(tau)| - 1, so K defaults to enough
-    terms for the requested precision and the omitted tail certifies the
-    digits returned.  The series is accumulated exactly in the rationals.
+    coeff(k) has valuation at least -k*loss - 1 (loss = max(0, -v(x)) for
+    B_k(x)), so term k has valuation at least k*(|v(tau)| - loss) - 1; K
+    defaults to enough terms for the requested precision and the omitted
+    tail certifies the digits returned.  The series is accumulated exactly
+    in the rationals.
     """
     tau_rat = Fraction(tau)
     tau_padic = Padic.from_rational(tau_rat, p, prec)
     if s == 1:
         raise SAtOne("pole at s = 1")
     _require_outside_zp(tau_padic)
-    a = -tau_padic.val  # per-term valuation gain, >= 1
+    a = -tau_padic.val - loss  # per-term valuation gain, >= 1
     if K is None:
         K = max(10, (prec + 2) // a + 2)
     inv_tau = 1 / tau_rat
@@ -384,7 +388,8 @@ def padic_hurwitz_shifted(s: int, tau, x, p: int, prec: int = 20) -> Padic:
     tau, x = Fraction(tau), Fraction(x)
     if x != 0 and tau != 0 and padic_valuation(tau, p) >= padic_valuation(x, p):
         raise DomainViolated("need |tau|_p > |x|_p")
-    return _hurwitz_series(s, tau, p, None, prec, lambda k: bernoulli_poly(k, x))
+    loss = 0 if x == 0 else max(0, -padic_valuation(x, p))
+    return _hurwitz_series(s, tau, p, None, prec, lambda k: bernoulli_poly(k, x), loss)
 
 
 def padic_divergence_report(n: int, tau, p: int, K: int) -> dict:

@@ -11,22 +11,28 @@ Both models conserve a Z2 parity, so each truncation splits into sectors
 in band storage: four tridiagonal chains of size about N/2 for the
 oscillator, two chains of size N for the symmetric Rabi model, and one band
 of half-width 2 when a bias breaks the parity.  Side by side the sectors
-are one band, zero at every seam, so each truncation is one bisection call
-for the lowest eigenvalues of the union; nothing is cached.  Each eigenvalue
-carries the variational |lambda_N - lambda_{N/2}| convergence estimate; the
-dense ``*_truncated_matrix`` builders are the small-N test reference.
+are one band, zero at every seam, so each truncation is one call of
+LAPACK's banded bisection ``dsbevx`` for the lowest eigenvalues of the union;
+nothing is cached.  The routine comes from scipy's f2py LAPACK wrappers, the
+module behind ``scipy.linalg.lapack.dsbevx``, loaded from its file when this
+module is imported, so that no process pays for importing ``scipy.linalg``.
+Each eigenvalue carries the variational |lambda_N - lambda_{N/2}| convergence
+estimate; the dense ``*_truncated_matrix`` builders are the small-N test
+reference.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from . import Uncertified, _mc
 from ._quad import _half_line, quad
@@ -232,17 +238,68 @@ def _qrm_sectors(params: QrmParams, N: int) -> list:
     return [band]
 
 
+def _load_flapack():
+    """scipy's f2py LAPACK wrappers, ``scipy.linalg._flapack``, loaded from
+    their file without importing scipy or scipy.linalg.
+
+    Importing scipy.linalg costs about 0.3 s per process, most of it numpy
+    submodules (testing, f2py, ma, random) that no solver here uses.  Loading
+    the module links scipy's own OpenBLAS, which starts a worker thread that
+    busy-waits for about 0.1 s before it sleeps; on a two-core machine that
+    halves the speed of the first solves.  The import of scipy.linalg hid the
+    spin behind its own work.  OPENBLAS_THREAD_TIMEOUT, read once when the
+    library is linked, shortens the wait to 2^4 cycles; it is set only while
+    ``module_from_spec`` links the library, and a value the user set is kept.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("zetaforge.spectra needs scipy", name="scipy")
+    spec = importlib.machinery.FileFinder(
+        os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    unset = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        module = importlib.util.module_from_spec(spec)  # links the library
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_SAFE_MIN = _flapack.dlamch("s")
+
+
 def _lowest(blocks: list, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues, ascending, of the block-diagonal matrix
     whose blocks are in lower band storage of one half-width.  Row i of a
     block leaves its last i slots zero, so side by side the blocks are one
     band, zero at every seam: one bisection splits it there and finds only
-    the lowest ``count`` of the union, not ``count`` per block."""
+    the lowest ``count`` of the union, not ``count`` per block.
+
+    The ``dsbevx`` call is the one ``scipy.linalg.eig_banded(band,
+    lower=True, eigvals_only=True, select="i")`` makes, argument for
+    argument, so the eigenvalues are the same bits."""
     band = np.concatenate(blocks, axis=1)
-    return eig_banded(
-        band, lower=True, eigvals_only=True, select="i",
-        select_range=(0, min(count, band.shape[1]) - 1),
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    m = min(count, band.shape[1])
+    w, _, found, _, info = _flapack.dsbevx(
+        band, 0.0, 1.0, 1, m, compute_v=0, mmax=1, range=2, lower=1,
+        overwrite_ab=0, abstol=2 * _SAFE_MIN,
     )
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dsbevx did not converge (LAPACK info={info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dsbevx")
+    return w[:found]
 
 
 def _solve(model: str, params, sectors: Callable, N: int, count: int,

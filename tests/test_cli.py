@@ -214,6 +214,9 @@ class TestExitCodes:
              "N // 2 truncation"),
             (["qrm-spectrum", "--g", "0.5", "--delta", "0.7", "--n-basis", "127", "--count", "127"],
              "N // 2 truncation"),
+            # a non-finite parameter reaches the eigensolver's band
+            (["qrm-spectrum", "--g", "inf", "--delta", "0.5"], "infs or NaNs"),
+            (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "nan"], "infs or NaNs"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -221,7 +224,7 @@ class TestExitCodes:
             "los-composite-p", "pary-composite-p",
             "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
-            "ncho-odd-N-count-N", "qrm-odd-N-count-N",
+            "ncho-odd-N-count-N", "qrm-odd-N-count-N", "qrm-g-inf", "qrm-eps-nan",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

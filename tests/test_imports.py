@@ -3,26 +3,25 @@ and a CLI job that is exact arithmetic, or float arithmetic on scalars,
 loads neither numpy nor scipy.
 
 scipy.integrate pulls in scipy.special, scipy.optimize and
-scipy.sparse.linalg, which cost about half a second per process; the
-package needs only scipy.linalg (for eig_banded).  numpy alone costs about
-0.15 s per process, which dominates a small job.  specval imports numpy
-only inside its cube integrals, so its scalar routines (Hurwitz zeta, the
-closed form of zeta_Q(2), the R_{k,1} series) and the Borel sums and
-formal power series built on them stay free of it."""
+scipy.sparse.linalg, which cost about half a second per process, and
+scipy.linalg alone costs about 0.3 s, most of it scipy._lib cloning numpy.
+The package needs one LAPACK routine, which spectra loads from scipy's
+wrapper module by file, so no scipy package is ever imported.  numpy alone
+costs about 0.15 s per process, which dominates a small job.  specval
+imports numpy only inside its cube integrals, so its scalar routines
+(Hurwitz zeta, the closed form of zeta_Q(2), the R_{k,1} series) and the
+Borel sums and formal power series built on them stay free of it."""
 
-import os
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
 import zetaforge
 
-HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize")
+HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy._lib")
 
 
-def test_no_heavy_scipy_subpackages():
+def test_no_heavy_scipy_subpackages(run_python):
     names = sorted(m.name for m in pkgutil.iter_modules(zetaforge.__path__))
     assert {"cli", "resum", "spectra", "specval"} <= set(names)
     code = (
@@ -31,17 +30,23 @@ def test_no_heavy_scipy_subpackages():
         "    importlib.import_module('zetaforge.' + name)\n"
         f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
-    assert _run_python(code) == "[]"
+    assert run_python(code) == "[]"
 
 
-def _run_python(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter that imports this zetaforge."""
-    src = os.path.dirname(os.path.dirname(zetaforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+def test_solver_jobs_import_no_scipy_package(run_python):
+    jobs = [
+        ["ncho-spectrum", "--alpha", "2", "--beta", "1"],
+        ["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "0.3"],
+        ["verify-all", "--budget", "quick"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from zetaforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.run(argv) for argv in {jobs!r}]\n"
+        "print(codes, sorted(m for m in ('scipy.linalg', 'scipy._lib') if m in sys.modules))\n"
     )
-    return out.stdout.strip()
+    assert run_python(code) == "[0, 0, 0] []"
 
 
 EXACT_JOBS = {
@@ -64,7 +69,7 @@ FLOAT_JOBS = {
 }
 
 
-def _loaded_heavy(argv) -> str:
+def _loaded_heavy(run_python, argv) -> str:
     """Exit code and which of numpy and scipy are loaded after ``argv`` runs."""
     code = (
         "import contextlib, io, sys\n"
@@ -73,14 +78,14 @@ def _loaded_heavy(argv) -> str:
         f"    code = cli.run({argv!r})\n"
         "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
-    return _run_python(code)
+    return run_python(code)
 
 
 @pytest.mark.parametrize("argv", EXACT_JOBS.values(), ids=EXACT_JOBS.keys())
-def test_exact_job_loads_no_numpy(argv):
-    assert _loaded_heavy(argv) == "0 []"
+def test_exact_job_loads_no_numpy(run_python, argv):
+    assert _loaded_heavy(run_python, argv) == "0 []"
 
 
 @pytest.mark.parametrize("argv", FLOAT_JOBS.values(), ids=FLOAT_JOBS.keys())
-def test_float_job_loads_no_numpy(argv):
-    assert _loaded_heavy(argv) == "0 []"
+def test_float_job_loads_no_numpy(run_python, argv):
+    assert _loaded_heavy(run_python, argv) == "0 []"

@@ -219,6 +219,16 @@ class TestPadicHurwitz:
                 rhs = padic_hurwitz_zeta(s, F(1, 5) + x, p=5, prec=18)
                 assert lhs.agrees_with(rhs, digits=12), (s, x)
 
+    @pytest.mark.parametrize("s", (2, 3, 5))
+    @pytest.mark.parametrize("tau, x", [(F(1, 25), F(1, 5)), (F(1, 125), F(1, 25))])
+    def test_shifted_certified_digits_with_x_outside_zp(self, s, tau, x):
+        # B_k(x) tau^{-k} gains only v(x) - v(tau) per term when |x|_p > 1;
+        # counting |v(tau)| certified 18 digits that agreed only to 11-14
+        lhs = padic_hurwitz_shifted(s, tau, x, p=5, prec=18)
+        rhs = padic_hurwitz_zeta(s, tau + x, p=5, K=80, prec=30)
+        assert lhs.val + lhs.prec < rhs.val + rhs.prec
+        assert lhs.agrees_with(rhs)
+
     def test_shifted_domain_guard(self):
         with pytest.raises(DomainViolated):
             padic_hurwitz_shifted(2, F(1, 5), F(1, 25), p=5)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, eigh
 
 from zetaforge import spectra, specval
 from zetaforge.exact import bernoulli_poly
@@ -136,6 +136,48 @@ class TestSectorSolver:
         first.convergence[0] = 999.0
         again = solve()
         assert again.eigenvalues[0] == ground and again.convergence[0] < 1e-6
+
+
+class TestLapackCall:
+    """_lowest calls LAPACK's dsbevx without scipy.linalg; it must return
+    what scipy.linalg.eig_banded returns for the same band, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "N,count",
+        [(16, 1), (16, 16), (127, 1), (127, 45), (127, 254), (256, 40), (256, 512)],
+    )
+    @pytest.mark.parametrize("model,params", SECTOR_CASES)
+    def test_bit_identical_to_eig_banded(self, model, params, N, count):
+        sectors = (spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors)(params, N)
+        band = np.concatenate(sectors, axis=1)
+        m = min(count, band.shape[1])
+        ref = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, m - 1))
+        assert np.array_equal(spectra._lowest(sectors, count), ref)
+
+    @pytest.mark.parametrize("spectra_first", [True, False], ids=["spectra-first", "scipy-first"])
+    def test_either_import_order(self, run_python, spectra_first):
+        imports = ["import zetaforge.spectra as sp", "import scipy.linalg"]
+        code = "\n".join((imports if spectra_first else imports[::-1]) + [
+            "import numpy as np",
+            "blocks = sp._qrm_sectors(sp.QrmParams(0.4, 0.7, 0.3), 64)",
+            "ref = scipy.linalg.eig_banded(np.concatenate(blocks, axis=1), lower=True,",
+            "    eigvals_only=True, select='i', select_range=(0, 9))",
+            "print(np.array_equal(sp._lowest(blocks, 10), ref))",
+        ])
+        assert run_python(code) == "True"
+
+    @pytest.mark.parametrize("timeout", [None, "8"], ids=["unset", "user-set"])
+    def test_import_leaves_environment_unchanged(self, run_python, timeout):
+        # the value OpenBLAS reads is set (or unset) before anything links it
+        code = ["import os", "os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)"]
+        if timeout is not None:
+            code.append(f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = {timeout!r}")
+        code += [
+            "before = dict(os.environ)",
+            "import zetaforge.spectra",
+            "print(dict(os.environ) == before, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))",
+        ]
+        assert run_python("\n".join(code)) == f"True {timeout}"
 
 
 class TestDeepBounds:
