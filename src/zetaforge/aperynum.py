@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional
 
 from .exact import (
@@ -196,70 +196,54 @@ def apery3_closed(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _central_sq(k: int) -> Fraction:
-    """C(-1/2, k)^2 = (C(2k,k)/4^k)^2."""
-    c = Fraction(comb(2 * k, k), 4**k)
-    return c * c
-
-
-def _nest(inner: list) -> list:
-    """One nesting level: out[k] = sum_{j < k} inner[j]/(j + 1/2)^2."""
-    out = [Fraction(0)] * len(inner)
-    acc = Fraction(0)
-    for j in range(len(inner) - 1):
-        acc += inner[j] / (Fraction(2 * j + 1, 2) ** 2)
-        out[j + 1] = acc
-    return out
-
-
-def _zsum_even(s: int, kmax: int) -> list:
-    """Prefix tables of the nested even sums:
-
-    e_s(k) = sum_{k > j1 > ... > js >= 0} prod 1/(j_i + 1/2)^2, e_0(k) = 1.
-    """
-    e = [Fraction(1)] * (kmax + 1)
-    for _ in range(s):
-        e = _nest(e)
-    return e
-
-
-def _zsum_odd(s: int, kmax: int) -> list:
-    """Nested odd sums, s >= 1: the innermost factor is 1/(j+1/2)^3 *
-    C(-1/2,j)^{-2} in place of 1/(j+1/2)^2."""
-    o = [1 / (Fraction(2 * j + 1, 2) * _central_sq(j)) for j in range(kmax + 1)]
-    for _ in range(s):
-        o = _nest(o)
-    return o
-
-
 def tj_table(k: int, n_max: int) -> list:
     """tJ_k(0..n_max) as exact rationals.
 
-    Even k = 2s+2: tJ_k(n) = sum_j (-1)^j C(-1/2,j)^2 C(n,j) Zeven_s(j);
-    odd  k = 2s+1 (s >= 1): same with Zodd_s(j).
+    Even k = 2s+2: tJ_k(n) = sum_j (-1)^(j+s) C(-1/2,j)^2 C(n,j) Zeven_s(j)
+    with Zeven_s(j) = sum_{j > j1 > ... > js >= 0} prod_i 1/(j_i + 1/2)^2;
+    odd k = 2s+1 (s >= 1): half of that with Zodd_s(j), whose innermost
+    factor is 1/((j_s + 1/2)^3 C(-1/2,j_s)^2) in place of 1/(j_s + 1/2)^2.
+
+    Every step before the output runs on ints over one common denominator.
+    Each nesting level multiplies it by L = lcm_{j<=n_max} (2j+1)^2 and adds
+    num[j] * 4L/(2j+1)^2 to a running sum; the weights
+    (-1)^j C(2j,j)^2/16^j enter as C(2j,j)^2 16^(n_max-j), then one gcd
+    reduces.  The binomial transform takes n_max rounds of neighbour sums
+    r[j] + r[j+1], after which r[0] = sum_j C(n,j) core_j: additions only,
+    one Fraction per output.
     """
     if k < 2 or k > 6:
         raise UnsupportedIndex(f"tJ_{k} outside the supported range 2..6")
-    if k % 2 == 0:
-        s = (k - 2) // 2
-        z = _zsum_even(s, n_max)
-        sign = (-1) ** s
-        weights = [Fraction(sign) * z[j] for j in range(n_max + 1)]
+    if n_max < 0:
+        return []
+    s = (k - 1) // 2
+    cen = [1]  # C(2j, j), each from the last
+    for j in range(n_max):
+        cen.append(cen[-1] * (4 * j + 2) // (j + 1))
+    if k % 2:
+        # the odd innermost factor times the weight 1/2: 16^j/((2j+1) C(2j,j)^2)
+        terms = [(2 * j + 1) * c * c for j, c in enumerate(cen)]
+        den = lcm(*terms)
+        nums = [den // t << 4 * j for j, t in enumerate(terms)]
     else:
-        s = (k - 1) // 2
-        z = _zsum_odd(s, n_max)
-        sign = (-1) ** s
-        weights = [Fraction(sign, 2) * z[j] for j in range(n_max + 1)]
-    core = [(-1) ** j * _central_sq(j) * weights[j] for j in range(n_max + 1)]
-    # binomial transform in integers over the common denominator of core,
-    # with the Pascal row C(n, 0..n) updated in place of comb(n, j)
-    den = lcm(*(c.denominator for c in core))
-    nums = [c.numerator * (den // c.denominator) for c in core]
+        den, nums = 1, [1] * (n_max + 1)
+    big = lcm(*range(1, 2 * n_max + 2, 2)) ** 2
+    step = [4 * (big // (2 * j + 1) ** 2) for j in range(n_max)]
+    for _ in range(s):
+        acc, nested = 0, [0]
+        for x, m in zip(nums, step):
+            acc += x * m
+            nested.append(acc)
+        nums, den = nested, den * big
+    nums = [(-1) ** (j + s) * x * c * c << 4 * (n_max - j)
+            for j, (x, c) in enumerate(zip(nums, cen))]
+    den <<= 4 * n_max
+    g = gcd(den, *nums)
+    den, nums = den // g, [x // g for x in nums]
     out = []
-    row = [1]
-    for n in range(n_max + 1):
-        out.append(Fraction(sum(b * x for b, x in zip(row, nums)), den))
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    for _ in range(n_max + 1):
+        out.append(Fraction(nums[0], den))
+        nums = [a + b for a, b in zip(nums, nums[1:])]
     return out
 
 

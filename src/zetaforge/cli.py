@@ -21,15 +21,18 @@ import datetime
 
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from . import Uncertified, __version__
 
+_EXIT_PIPE = 141
 _EXIT_CODES = (
     "exit codes: 0 computed / all checks passed, 1 a verification reported a "
     "mismatch, 2 usage or input error, 3 a computation did not reach its "
-    "certified accuracy"
+    f"certified accuracy, {_EXIT_PIPE} standard output was closed before the "
+    "report was written (as for a process ended by SIGPIPE)"
 )
 
 _BUDGETS = {
@@ -819,7 +822,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left early (`... | head -1`): point stdout at devnull so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

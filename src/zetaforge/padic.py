@@ -27,7 +27,6 @@ from .exact import (
     _is_odd_prime,
     bernoulli_number,
     bernoulli_poly,
-    binom_general,
     padic_valuation,
 )
 
@@ -357,9 +356,11 @@ def _hurwitz_series(
     inv_tau = 1 / tau_rat
     acc = Fraction(0)
     tp = Fraction(1)
+    binom = 1  # C(1-s, k), an integer for integer s
     for k in range(K + 1):
-        acc += binom_general(1 - s, k) * coeff(k) * tp
+        acc += binom * coeff(k) * tp
         tp *= inv_tau
+        binom = binom * (1 - s - k) // (k + 1)
     series = Padic.from_rational(acc / (s - 1), p, prec + max(0, (K + 1) * a))
     bracket = angle_bracket(tau_padic).pow_int(1 - s)
     result = bracket * series

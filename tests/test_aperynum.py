@@ -125,18 +125,35 @@ class TestAperyLikeJ:
             assert (lhs - rhs).is_zero(), k
 
 
+def tj_core(k: int, n_max: int) -> list:
+    """core_j, j <= n_max, with tJ_k(n) = sum_j C(n, j) core_j, from the
+    definition in Fractions with math.comb.
+
+    core_j = (-1)^(j+s) C(-1/2,j)^2 Z_s(j), halved for odd k.  Z_s(j) sums
+    prod x_{j_i} over the chains j > j1 > ... > js >= 0 with
+    x_i = 1/(i+1/2)^2; for odd k the smallest index carries
+    1/((i+1/2)^3 C(-1/2,i)^2) instead.  The chains are counted as the
+    elementary symmetric functions are: e[t] holds the t-chains below j, and
+    passing index i adds the chains whose largest index is i.
+    """
+    s = (k - 1) // 2
+    e = [F(1)] + [F(0)] * s
+    core = []
+    for j in range(n_max + 1):
+        c2 = F(comb(2 * j, j), 4**j) ** 2
+        core.append((-1) ** (j + s) * c2 * e[s] / (2 if k % 2 else 1))
+        x = 1 / F(2 * j + 1, 2) ** 2
+        for t in range(s, 1, -1):
+            e[t] += e[t - 1] * x
+        if s:
+            e[1] += x / (F(2 * j + 1, 2) * c2) if k % 2 else x
+    return core
+
+
 def tj_table_fraction_loop(k: int, n_max: int) -> list:
     """tJ_k(0..n_max) by the binomial transform summed term by term in
     Fractions with math.comb: the oracle for the integer transform."""
-    if k % 2 == 0:
-        s = (k - 2) // 2
-        z = aperynum._zsum_even(s, n_max)
-        weight = F((-1) ** s)
-    else:
-        s = (k - 1) // 2
-        z = aperynum._zsum_odd(s, n_max)
-        weight = F((-1) ** s, 2)
-    core = [(-1) ** j * aperynum._central_sq(j) * weight * z[j] for j in range(n_max + 1)]
+    core = tj_core(k, n_max)
     return [
         sum((core[j] * comb(n, j) for j in range(n + 1)), F(0))
         for n in range(n_max + 1)
@@ -147,6 +164,23 @@ class TestNormalizedTJ:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_fraction_loop_oracle(self, k):
         assert tj_table(k, 60) == tj_table_fraction_loop(k, 60)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_single_n_sums_at_depth(self, k):
+        # the depth of the exact benchmark: one C(n, j) sum per spot
+        table = tj_table(k, 200)
+        core = tj_core(k, 200)
+        for n in (150, 200):
+            assert table[n] == sum((comb(n, j) * core[j] for j in range(n + 1)), F(0))
+
+    def test_shortest_tables(self):
+        # tJ_k(1) from the recurrence at n = 1, 4 tJ_k(1) - 3 tJ_k(0) = 4 tJ_{k-2}(0),
+        # whose right side is 0 for k = 2 and 4 J_1(0) = 4 for k = 3
+        first = {2: (1, F(3, 4)), 3: (0, 1), 4: (0, 1), 5: (0, 0), 6: (0, 0)}
+        for k, (t0, t1) in first.items():
+            assert tj_table(k, 0) == [t0] == tj_table_fraction_loop(k, 0)
+            assert tj_table(k, 1) == [t0, t1] == tj_table_fraction_loop(k, 1)
+            assert all(type(v) is F for v in tj_table(k, 1))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_j_table_matches_aperylike_J(self, k):

@@ -183,6 +183,32 @@ class TestExitCodes:
         cli.run(["--help"])
         epilog = " ".join(capsys.readouterr().out.split())
         assert "3 a computation did not reach its certified accuracy" in epilog
+        assert "141 standard output was closed before the report was written" in epilog
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the report fits the stdout buffer, so the write fails at the flush
+            ["bernoulli", "--k", "4"],
+            # about 10 kB: the write fails while the report is written
+            ["ncho-spectrum", "--alpha", "3", "--beta", "1.5", "--n-basis", "1024",
+             "--count", "300"],
+        ],
+        ids=["at-flush", "mid-report"],
+    )
+    def test_closed_stdout_is_not_a_mismatch(self, argv):
+        # the reader closes its end before anything is written, as
+        # `zetaforge ... | head -1` does once it has its line; this printed a
+        # BrokenPipeError traceback and exited 1, the mismatch code
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zetaforge.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     @pytest.mark.parametrize(
         "argv, named",
