@@ -1,4 +1,4 @@
-"""Reproducible Monte Carlo plumbing.
+"""Reproducible Monte Carlo plumbing and the tensor Gauss-Legendre cube rule.
 
 Counter-based Philox streams keyed by (operation, parameters, seed), so a
 given job is bit-reproducible regardless of evaluation order.  Integrands
@@ -67,9 +67,44 @@ def mc_mean(
     return mean, std_err, n_done
 
 
+def _newton_legendre(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Newton step P_n(x) / P_n'(x) and Gauss weight 2 / ((1 - x^2) P_n'(x)^2).
+
+    P_n comes from the three-term recurrence j P_j = (2j-1) x P_{j-1} -
+    (j-1) P_{j-2}, and P_n' = n (P_{n-1} - x P_n) / (1 - x^2), where
+    1 - x^2 = (1 - x)(1 + x) keeps its precision near x = 1.
+    """
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    dp = n * (p0 - x * p1) / one_minus_x2
+    return p1 / dp, 2.0 / (one_minus_x2 * dp * dp)
+
+
 def gauss_legendre_unit(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights mapped to [0, 1].
+
+    The roots of P_n in [0, 1) come from Newton's method started at
+    Tricomi's estimate.  Newton converges quadratically, so once a step is
+    below 1e-11 the next is below rounding, and three steps suffice for
+    n <= 3000.  The negative half is the mirror image.  This needs no
+    eigensolver, so it never waits on the first dense eigensolve of numpy's
+    BLAS.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n**3))
+    for _ in range(100):
+        step, _w = _newton_legendre(n, x)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-11:
+            break
+    _, w = _newton_legendre(n, x)
+    # x descends to the middle root (0 when n is odd), kept once
+    x = np.concatenate([-x, x[::-1][n % 2 :]])
+    w = np.concatenate([w, w[::-1][n % 2 :]])
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -80,22 +115,29 @@ def tensor_gauss(
 
     One slab per node of the last axis holds the grid of the leading axes
     as the rows of a (dim, n^(dim-1)) array; ``f`` sees it in chunks of at
-    most ``_CHUNK`` points with contiguous columns.  Each slab is weighted
-    with one dot product and the slabs are summed with math.fsum.  Needs
-    dim >= 2.
+    most ``_CHUNK`` points with contiguous columns.  When a slab is smaller
+    than ``_CHUNK``, one call covers as many whole slabs as fit.  Each slab
+    is weighted with its own dot product and the slabs are summed with
+    math.fsum, so the grouping changes no result.  Needs dim >= 2.
     """
     x, w = gauss_legendre_unit(nodes_per_axis)
     wflat = np.ones(nodes_per_axis ** (dim - 1))
     for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):
         wflat = wflat * g.ravel()
-    cols = np.empty((dim, wflat.size))
+    m = wflat.size
+    group = max(1, _CHUNK // m)  # slabs per integrand call
+    cols = np.empty((dim, group * m))
     for row, g in zip(cols, np.meshgrid(*([x] * (dim - 1)), indexing="ij")):
-        row[:] = g.ravel()
-    vals = np.empty(wflat.size)
+        row[:] = np.tile(g.ravel(), group)
+    vals = np.empty(group * m)
     acc = []
-    for i, xi in enumerate(x):
-        cols[-1] = xi
-        for j in range(0, wflat.size, _CHUNK):
-            vals[j : j + _CHUNK] = f(cols[:, j : j + _CHUNK].T)
-        acc.append(float(np.dot(wflat, vals) * w[i]))
+    for i in range(0, nodes_per_axis, group):
+        xs = x[i : i + group]
+        size = xs.size * m
+        cols[-1, :size] = np.repeat(xs, m)
+        for j in range(0, size, _CHUNK):
+            end = min(j + _CHUNK, size)
+            vals[j:end] = f(cols[:, j:end].T)
+        for s, ws in enumerate(w[i : i + group]):
+            acc.append(float(np.dot(wflat, vals[s * m : (s + 1) * m]) * ws))
     return math.fsum(acc), nodes_per_axis**dim

@@ -36,11 +36,12 @@ _EXIT_CODES = (
 )
 
 _BUDGETS = {
-    # knobs: series order, q-exponent bound, MC samples, eigenbasis, primes
+    # knobs: series order, q-exponent bound, cube-rule nodes (n^2 in 2-D,
+    # n^4 in 4-D), eigenbasis, primes
     "quick": {
         "order": 30,
         "qmax": 10,
-        "mc": 200_000,
+        "cube_nodes": 128**2,
         "ncho_N": 256,
         "qrm_N": 256,
         "count": 40,
@@ -50,7 +51,7 @@ _BUDGETS = {
     "full": {
         "order": 58,
         "qmax": 20,
-        "mc": 2_000_000,
+        "cube_nodes": 256**2,
         "ncho_N": 1024,
         "qrm_N": 512,
         "count": 120,
@@ -60,6 +61,9 @@ _BUDGETS = {
         ),
     },
 }
+# the largest error estimate a verify-all cube check accepts; the 3-sigma
+# Monte Carlo brackets it replaced were 2e-3 to 2e-2, and 1 % of zeta_Q(2)
+_CUBE_TOL = 1e-6
 
 
 def _jsonify(obj):
@@ -537,24 +541,30 @@ def _verify_all(budget: str, seed: int) -> tuple:
     )
     record("hurwitz-values", ok)
 
-    # quadrature pins
-    r21 = specval.r_kj_quadrature(2, 1, 0.0, budget=cfg["mc"], seed=seed)
-    a00 = specval.appendixB_integral("A", 0, 0, budget=cfg["mc"], seed=seed)
-    ok = (
-        abs(r21.value - math.pi**2 / 2) <= 3 * r21.std_error
-        and abs(a00.value - math.pi**4 / 96) <= 3 * a00.std_error
-    )
-    record("cube-quadrature", ok, r21=r21.value, r21_err=r21.std_error,
-           a00=a00.value, a00_err=a00.std_error)
+    # cube integrals by tensor Gauss: each value lies within its n-versus-n/2
+    # estimate of the reference, and the estimate is at most _CUBE_TOL
+    def certified(res, ref):
+        return abs(res.value - ref) <= res.std_error <= _CUBE_TOL
+
+    nodes = cfg["cube_nodes"]
+    r21 = specval.r_kj_quadrature(2, 1, 0.0, method="TENSOR_GAUSS", budget=nodes)
+    a00 = specval.appendixB_integral("A", 0, 0, method="TENSOR_GAUSS", budget=nodes)
+    ok = certified(r21, math.pi**2 / 2) and certified(a00, math.pi**4 / 96)
+    record("cube-quadrature", ok, tolerance=_CUBE_TOL,
+           r21=r21.value, r21_err=r21.std_error, r21_nodes=r21.samples_or_nodes,
+           a00=a00.value, a00_err=a00.std_error, a00_nodes=a00.samples_or_nodes)
 
     # zetaQ2 triangle (closed vs assembled)
-    ok = True
+    points = []
     for (al, be) in ((math.sqrt(2), math.sqrt(2)), (2.0, 1.0)):
         p = specval.NchoParams(al, be)
         closed = specval.zetaQ2_closed(p)
-        asm = specval.zetaQ_special(2, p, budget=cfg["mc"], seed=seed)
-        ok = ok and abs(asm.value - closed) <= max(3 * asm.std_error, 0.01 * closed)
-    record("zetaQ2-closed-vs-assembled", ok)
+        asm = specval.zetaQ_special(2, p, method="TENSOR_GAUSS", budget=nodes)
+        points.append({"alpha": al, "beta": be, "closed": closed, "value": asm.value,
+                       "err": asm.std_error, "nodes": asm.samples_or_nodes,
+                       "ok": certified(asm, closed)})
+    record("zetaQ2-closed-vs-assembled", all(pt["ok"] for pt in points),
+           tolerance=_CUBE_TOL, points=points)
 
     # quasi-partition (qho)
     vals = spectra.qho_quasi_partition_values(30)
@@ -817,7 +827,16 @@ def run(argv=None) -> int:
     except Uncertified as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    emit(report, args.format, meta=not args.no_meta)
+    # exact values print in full: lift Python's limit on the digits of an
+    # int-to-str conversion (3.10.7 and later) while writing, then restore it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        emit(report, args.format, meta=not args.no_meta)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0 if ok else 1
 
 

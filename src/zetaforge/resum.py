@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import Uncertified
@@ -106,8 +107,12 @@ def fps_hurwitz(n: int, tau: float, K: int) -> list:
     if K < 1:
         raise ValueError("need K >= 1")
 
+    tau_q = Fraction(tau)
+
     def rule(k: int) -> float:
-        return float(_fps_coeff(k, n)) * tau ** (-(k + n - 1))
+        # exact product, one rounding: at n = 2 the coefficient alone
+        # overflows a float from k = 260, where the term at tau = 10 is 2e48
+        return float(_fps_coeff(k, n) / tau_q ** (k + n - 1))
 
     return _trace(rule, K)
 

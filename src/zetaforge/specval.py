@@ -72,6 +72,7 @@ class NchoParams:
 
 
 _METHODS = ("MONTE_CARLO", "TENSOR_GAUSS")
+_EPS = 2.0**-52  # double-precision machine epsilon
 
 
 @dataclass
@@ -288,7 +289,13 @@ def _cube_quadrature(
     f, dim: int, method: str, budget: int, seed: int, stream: tuple
 ) -> QuadratureResult:
     """int over [0,1]^dim of f: tensor Gauss on about ``budget`` nodes, or
-    ``budget`` Monte Carlo samples from the Philox stream (op, params)."""
+    ``budget`` Monte Carlo samples from the Philox stream (op, params).
+
+    Tensor Gauss runs the rule at n and at n // 2 nodes per axis and returns
+    I_n with the error estimate |I_n - I_{n//2}|, never less than the
+    rounding floor N eps |I_n| of a sum of N = n^dim terms;
+    ``samples_or_nodes`` counts the nodes of both rules.
+    """
     from . import _mc
 
     _check_method(method)
@@ -297,7 +304,9 @@ def _cube_quadrature(
     if method == "TENSOR_GAUSS":
         n_axis = max(4, int(round(budget ** (1.0 / dim))))
         val, nodes = _mc.tensor_gauss(f, dim, n_axis)
-        return QuadratureResult(val, 0.0, nodes, "TENSOR_GAUSS")
+        coarse, coarse_nodes = _mc.tensor_gauss(f, dim, n_axis // 2)
+        err = max(abs(val - coarse), nodes * _EPS * abs(val))
+        return QuadratureResult(val, err, nodes + coarse_nodes, "TENSOR_GAUSS")
     rng = _mc.philox_rng(*stream, seed)
     mean, err, n = _mc.mc_mean(f, dim, budget, rng)
     return QuadratureResult(mean, err, n, "MONTE_CARLO", seed=seed)
@@ -338,7 +347,10 @@ def zetaQ_special(
     c = (alpha+beta)/(2 sqrt(alpha beta (alpha beta - 1))), r = (a-b)/(a+b).
 
     The R terms use quadrature (the series route needs kappa < 1, which the
-    admissible parameter range does not guarantee).
+    admissible parameter range does not guarantee).  Their weighted errors
+    add linearly.  Under TENSOR_GAUSS the error also carries a floor of 32
+    ulps of the value for the Euler-Maclaurin zeta(k, 1/2), itself a sum of
+    about 30 rounded terms, and the assembly, so it is never 0.
     """
     if k not in (2, 3, 4):
         raise UnsupportedIndexPair("assembled values available for k in 2..4")
@@ -347,7 +359,7 @@ def zetaQ_special(
     c = (a + b) / (2.0 * math.sqrt(a * b * (a * b - 1.0)))
     r2 = ((a - b) / (a + b)) ** 2
     total = _hz_half(k)
-    err2 = 0.0
+    errs = []
     nodes = 0
     if r2 > 0:
         pairs = [(k, 1)] if k < 4 else [(4, 1), (4, 2)]
@@ -355,13 +367,15 @@ def zetaQ_special(
             res = r_kj_quadrature(kk, jj, params.kappa, method=method, budget=budget, seed=seed)
             weight = r2**jj
             total += weight * res.value
-            err2 += (weight * res.std_error) ** 2
+            errs.append(weight * res.std_error)
             nodes += res.samples_or_nodes
     pref = 2.0 * c**k
-    return QuadratureResult(
-        pref * total, pref * math.sqrt(err2), nodes, method,
-        seed=seed if method == "MONTE_CARLO" else None,
-    )
+    value = pref * total
+    if method == "MONTE_CARLO":
+        err = pref * math.sqrt(sum(e**2 for e in errs))
+        return QuadratureResult(value, err, nodes, method, seed=seed)
+    err = pref * math.fsum(errs) + 32 * _EPS * abs(value)
+    return QuadratureResult(value, err, nodes, method)
 
 
 def zetaQ2_closed(params: NchoParams) -> float:

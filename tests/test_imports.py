@@ -10,7 +10,8 @@ wrapper module by file, so no scipy package is ever imported.  numpy alone
 costs about 0.15 s per process, which dominates a small job.  specval
 imports numpy only inside its cube integrals, so its scalar routines
 (Hurwitz zeta, the closed form of zeta_Q(2), the R_{k,1} series) and the
-Borel sums and formal power series built on them stay free of it."""
+Borel sums and formal power series built on them stay free of it.
+verify-all draws no random numbers, so it never loads numpy.random."""
 
 import pkgutil
 
@@ -89,3 +90,18 @@ def test_exact_job_loads_no_numpy(run_python, argv):
 @pytest.mark.parametrize("argv", FLOAT_JOBS.values(), ids=FLOAT_JOBS.keys())
 def test_float_job_loads_no_numpy(run_python, argv):
     assert _loaded_heavy(run_python, argv) == "0 []"
+
+
+@pytest.mark.parametrize("budget", ["quick", "full"])
+def test_verify_all_draws_no_random_numbers(run_python, budget):
+    # its cube checks run the deterministic tensor Gauss rule
+    if run_python("import sys, numpy; print('numpy.random' in sys.modules)") == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    code = (
+        "import contextlib, io, sys\n"
+        "from zetaforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run(['verify-all', '--budget', {budget!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    assert run_python(code) == "0 False"

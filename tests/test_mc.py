@@ -1,5 +1,6 @@
-"""Monte Carlo plumbing: merged batch statistics, reproducibility, and the
-chunked evaluation that must leave every result bit-identical."""
+"""Monte Carlo plumbing and the tensor Gauss rule: merged batch statistics,
+reproducibility, the Gauss-Legendre nodes, and the chunked evaluation that
+must leave every result bit-identical."""
 
 import math
 import os
@@ -82,6 +83,29 @@ def test_integrand_sees_small_chunks_with_contiguous_columns():
     assert all(contiguous for _, contiguous in calls)
 
 
+RULE_SIZES = [1, 2, 5, 16, 64, 256, 1000]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_nodes_and_weights_agree_with_leggauss(n):
+    x, w = _mc.gauss_legendre_unit(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - 0.5 * (xr + 1.0))) <= 1e-14
+    # at n = 1000 leggauss's own end weights are about 3e-14 off on [0, 1]
+    # (against a 50-digit Newton solve); the monomial test below pins ours
+    assert np.max(np.abs(w - 0.5 * wr)) <= (1e-14 if n < 1000 else 1e-13)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_integrates_monomials_exactly(n):
+    # x^j for j <= 2n - 1 is exact up to rounding, about n ulps
+    x, w = _mc.gauss_legendre_unit(n)
+    eps = np.finfo(float).eps
+    for j in range(2 * n):
+        got = math.fsum(w * x**j)
+        assert abs(got - 1.0 / (j + 1)) * (j + 1) <= 4 * n * eps, j
+
+
 def _tensor_gauss_slabs(f, dim, nodes_per_axis):
     """The unchunked algorithm: one (n^(dim-1), dim) slab per last-axis node."""
     x, w = _mc.gauss_legendre_unit(nodes_per_axis)
@@ -98,8 +122,12 @@ def _tensor_gauss_slabs(f, dim, nodes_per_axis):
     return math.fsum(acc), nodes_per_axis**dim
 
 
-# (k, j, nodes per axis); 24^3 and 100^2 points per slab exceed _CHUNK
-@pytest.mark.parametrize("k, j, n", [(2, 1, 50), (3, 1, 30), (3, 1, 100), (4, 2, 24), (4, 1, 12)])
+# (k, j, nodes per axis); 24^3 and 100^2 points per slab exceed _CHUNK, and
+# the slabs of 50 and 256 nodes in 2-D and of 8^3 in 4-D share calls
+@pytest.mark.parametrize(
+    "k, j, n",
+    [(2, 1, 50), (2, 1, 256), (3, 1, 30), (3, 1, 100), (4, 2, 24), (4, 2, 8), (4, 1, 12)],
+)
 def test_tensor_gauss_is_bit_identical_to_whole_slabs(k, j, n):
     f = specval._rkj_integrand(k, j, 0.6)
     assert _mc.tensor_gauss(f, k, n) == _tensor_gauss_slabs(f, k, n)

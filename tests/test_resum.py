@@ -1,6 +1,8 @@
 """Divergent-series machinery: iterated-integral coefficients, formal
 traces, Borel transforms and sums (integer and fractional order)."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -76,6 +78,22 @@ class TestFormalSeriesTraces:
         assert best < 1e-12
         terms = [abs(r["term"]) for r in rows]
         assert terms[160] > terms[100] > 0
+
+    def test_terms_are_the_rounded_exact_products_past_float_range(self):
+        # from k = 260 the coefficient B_k alone overflows a float, while
+        # every term at tau = 10 stays finite (about 2e74 at k = 300)
+        rows = fps_hurwitz(2, 10.0, 300)
+        for r in rows:
+            k = r["k"]
+            assert r["term"] == float(_fps_coeff(k, 2) * Fraction(1, 10) ** (k + 1)), k
+        assert all(math.isfinite(r["partial_sum"]) for r in rows)
+
+    def test_cli_trace_past_float_range_of_the_coefficients(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["--no-meta", "--format", "csv", "divergence", "--n", "2", "--tau", "10", "--K", "300"])
+        assert code == 0
+        assert len(buf.getvalue().splitlines()) == 302  # header and k = 0..300
 
     def test_divergence_at_moderate_tau(self):
         rows = fps_hurwitz(2, 2.0, 60)

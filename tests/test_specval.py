@@ -186,8 +186,16 @@ class TestRkjQuadrature:
     def test_tensor_gauss_agrees_with_mc(self):
         g = r_kj_quadrature(2, 1, 0.5, method="TENSOR_GAUSS", budget=10_000)
         m = r_kj_quadrature(2, 1, 0.5, budget=400_000, seed=15)
-        assert g.std_error == 0.0
+        s, _ = r_k1_series(2, 0.5, 90)
+        # the n-versus-n/2 estimate brackets the series value and is far
+        # below the Monte Carlo error
+        assert 0 < g.std_error < 1e-5 and abs(g.value - s) <= g.std_error
         assert abs(g.value - m.value) < max(4 * m.std_error, 0.02)
+
+    def test_tensor_gauss_counts_both_rules(self):
+        # budget 10^4 gives 100 nodes per axis in 2-D and 10 in 4-D
+        assert r_kj_quadrature(2, 1, 0.5, method="TENSOR_GAUSS", budget=10_000).samples_or_nodes == 100**2 + 50**2
+        assert appendixB_integral("A", 1, 0, budget=10_000, method="TENSOR_GAUSS").samples_or_nodes == 10**4 + 5**4
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedIndexPair):
@@ -212,6 +220,51 @@ class TestRkjQuadrature:
         a = r_kj_quadrature(2, 1, 0.3, budget=50_000, seed=42)
         b = r_kj_quadrature(2, 1, 0.3, budget=50_000, seed=42)
         assert a.value == b.value and a.std_error == b.std_error
+
+
+GAUSS_BUDGETS = [1000, 4096, 16_384, 65_536]
+
+
+class TestTensorGaussEstimate:
+    """The TENSOR_GAUSS error field, |I_n - I_{n//2}| with a rounding floor,
+    is positive and at least the true error wherever a closed form exists."""
+
+    @pytest.mark.parametrize("budget", GAUSS_BUDGETS)
+    def test_r21_at_zero(self, budget):
+        r = r_kj_quadrature(2, 1, 0.0, method="TENSOR_GAUSS", budget=budget)
+        assert r.std_error > 0
+        assert abs(r.value - PI**2 / 2) <= r.std_error
+
+    @pytest.mark.parametrize("budget", GAUSS_BUDGETS)
+    @pytest.mark.parametrize("key", sorted(APPENDIX_AB_EXACT), ids=lambda k: "".join(map(str, k)))
+    def test_appendix_ab(self, key, budget):
+        r = appendixB_integral(*key, budget=budget, method="TENSOR_GAUSS")
+        assert r.std_error > 0
+        assert abs(r.value - APPENDIX_AB_EXACT[key]) <= r.std_error
+
+    @pytest.mark.parametrize("budget", GAUSS_BUDGETS)
+    @pytest.mark.parametrize("ab", [(2.0, 1.0), (2.5, 0.6)], ids=str)
+    def test_zetaQ2(self, ab, budget):
+        p = NchoParams(*ab)
+        r = zetaQ_special(2, p, budget=budget, method="TENSOR_GAUSS")
+        assert r.std_error > 0
+        assert abs(r.value - zetaQ2_closed(p)) <= r.std_error
+
+    def test_zetaQ_without_quadrature_keeps_a_rounding_floor(self):
+        p = NchoParams(math.sqrt(2), math.sqrt(2))
+        r = zetaQ_special(2, p, budget=1000, method="TENSOR_GAUSS")
+        assert r.samples_or_nodes == 0
+        assert abs(r.value - zetaQ2_closed(p)) <= r.std_error < 1e-12
+
+    def test_estimates_add_linearly(self):
+        p = NchoParams(2.0, 1.0)
+        res = zetaQ_special(4, p, budget=4096, method="TENSOR_GAUSS")
+        parts = [r_kj_quadrature(4, j, p.kappa, method="TENSOR_GAUSS", budget=4096) for j in (1, 2)]
+        r2 = (1.0 / 3.0) ** 2
+        pref = 2.0 * (3.0 / (2.0 * math.sqrt(2.0))) ** 4
+        linear = pref * (r2 * parts[0].std_error + r2**2 * parts[1].std_error)
+        assert linear <= res.std_error <= linear * (1 + 1e-12) + 64 * 2.0**-52 * res.value
+        assert res.samples_or_nodes == sum(q.samples_or_nodes for q in parts)
 
 
 class TestZetaQ:
