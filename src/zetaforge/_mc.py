@@ -10,11 +10,10 @@ quadrature partials use math.fsum.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, Tuple
 
-import numpy as np
+from ._np import np
 
 _BATCH = 1 << 18
 # points per integrand call: a (_CHUNK, 4) block and the integrand's
@@ -24,6 +23,8 @@ _CHUNK = 1 << 13
 
 def philox_rng(op: str, params: tuple, seed: int) -> np.random.Generator:
     """Deterministic generator keyed by (op, params, seed)."""
+    import hashlib  # here, not at the top: verify-all draws no random numbers
+
     msg = f"{op}|{params!r}|{seed}".encode()
     key = int.from_bytes(hashlib.sha256(msg).digest()[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))

@@ -148,11 +148,19 @@ def _qho_partition(t: float) -> float:
     return math.exp(-t / 2) / -math.expm1(-t)
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    """``text`` read as a rational; a malformed one is an error naming ``flag``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational such as 1/5 or 10, got {text!r}") from None
+
+
 def _cmd_bernoulli(args):
     from . import exact
 
     if args.poly_x is not None:
-        val = exact.bernoulli_poly(args.k, Fraction(args.poly_x))
+        val = exact.bernoulli_poly(args.k, _rational(args.poly_x, "--poly-x"))
         return {"op": "bernoulli_poly", "k": args.k, "x": args.poly_x, "value": val}, True
     val = exact.bernoulli_number(args.k)
     if args.format == "plain":
@@ -361,7 +369,7 @@ def _cmd_quasi_partition(args):
 
 def _cmd_heat_fit(args):
     from . import spectra, specval
-    import numpy as np
+    from ._np import np
 
     p = specval.NchoParams(args.alpha, args.beta)
     spec = spectra.ncho_eigs(
@@ -433,12 +441,11 @@ def _cmd_borel(args):
 
 
 def _cmd_divergence(args):
+    tau = _rational(args.tau, "--tau")
     if args.padic_p:
         from . import padic as padic_mod
 
-        rep = padic_mod.padic_divergence_report(
-            args.n, Fraction(args.tau), args.padic_p, args.K
-        )
+        rep = padic_mod.padic_divergence_report(args.n, tau, args.padic_p, args.K)
         out = {
             "op": "padic_divergence",
             "p": args.padic_p,
@@ -451,7 +458,9 @@ def _cmd_divergence(args):
         return out, rep["sum_matches_normalized_zeta"]
     from . import resum
 
-    rows = resum.fps_hurwitz(args.n, float(Fraction(args.tau)), args.K)
+    if tau == 0:
+        raise ValueError("--tau must be nonzero: zeta(n, tau) has a pole at tau = 0")
+    rows = resum.fps_hurwitz(args.n, tau, args.K)
     return rows, True
 
 
@@ -459,7 +468,7 @@ def _cmd_padic_zeta(args):
     from . import padic as padic_mod
 
     z = padic_mod.padic_hurwitz_zeta(
-        args.s, Fraction(args.tau), p=args.p, prec=args.prec
+        args.s, _rational(args.tau, "--tau"), p=args.p, prec=args.prec
     )
     return {
         **z.to_dict(),

@@ -95,12 +95,14 @@ def _shifted_trace(n: int, tau: float, coeffs: Sequence[float], K: int) -> list:
     return _trace(rule, K)
 
 
-def fps_hurwitz(n: int, tau: float, K: int) -> list:
+def fps_hurwitz(n: int, tau: Fraction, K: int) -> list:
     """Divergence trace of the formal series for zeta(n, tau).
 
-    Returns [{k, term, partial_sum}] for k = 0..K.  The early partial sums
-    approach zeta(n, tau) in the asymptotic window before the factorial
-    growth takes over; no convergence is claimed.
+    ``tau`` is a rational: a ``Fraction``, an int, or a float read as the
+    binary fraction it holds, so each term is the exact rational term
+    rounded once.  Returns [{k, term, partial_sum}] for k = 0..K.  The
+    early partial sums approach zeta(n, tau) in the asymptotic window
+    before the factorial growth takes over; no convergence is claimed.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import Uncertified, _mc
+from ._np import np, quiet_blas
 from ._quad import _half_line, quad
 from .exact import hurwitz_zeta_nonpos
 from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
@@ -244,12 +243,9 @@ def _load_flapack():
 
     Importing scipy.linalg costs about 0.3 s per process, most of it numpy
     submodules (testing, f2py, ma, random) that no solver here uses.  Loading
-    the module links scipy's own OpenBLAS, which starts a worker thread that
-    busy-waits for about 0.1 s before it sleeps; on a two-core machine that
-    halves the speed of the first solves.  The import of scipy.linalg hid the
-    spin behind its own work.  OPENBLAS_THREAD_TIMEOUT, read once when the
-    library is linked, shortens the wait to 2^4 cycles; it is set only while
-    ``module_from_spec`` links the library, and a value the user set is kept.
+    the module links scipy's own OpenBLAS, whose worker thread would spin
+    behind the first solves; the import of scipy.linalg hid that spin behind
+    its own work.  The link runs inside ``_np.quiet_blas``, as numpy's does.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -261,14 +257,8 @@ def _load_flapack():
         os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
     ).find_spec(name)
-    unset = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
-    if unset:
-        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
-    try:
+    with quiet_blas(name):
         module = importlib.util.module_from_spec(spec)  # links the library
-    finally:
-        if unset:
-            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
     spec.loader.exec_module(module)
     return module
 

@@ -227,7 +227,7 @@ def _w_factors(k: int, j: int) -> Sequence[Tuple[float, Sequence[Sequence[int]]]
 def _cube_sub(v: np.ndarray):
     """The finite-variance substitution u = 1 - v^2 at sample rows v:
     (Jacobian prod 2 v_i, u^2, u^4)."""
-    import numpy as np
+    from ._np import np
 
     u = 1.0 - v * v
     u2 = u * u
@@ -235,7 +235,7 @@ def _cube_sub(v: np.ndarray):
 
 
 def _abc(u4: np.ndarray, u2: np.ndarray):
-    import numpy as np
+    from ._np import np
 
     a = 1.0 - np.prod(u2, axis=1)
     b = (1.0 - u4[:, 0] * u4[:, 1]) * (1.0 - u4[:, 2] * u4[:, 3])
@@ -253,7 +253,7 @@ def _r42_radicand(v: np.ndarray, k2: float):
 
 def _rkj_integrand(k: int, j: int, kappa: float):
     """Integrand over v in [0,1]^k with u_i = 1 - v_i^2; includes Jacobian."""
-    import numpy as np
+    from ._np import np
 
     k2 = kappa * kappa
 
@@ -417,7 +417,7 @@ def appendixB_integral(
         raise ValueError("which must be 'A' or 'B'")
     if not (0 <= k_or_j <= n):
         raise ValueError("need 0 <= k (or j) <= n")
-    import numpy as np
+    from ._np import np
 
     m = k_or_j
 
@@ -462,7 +462,7 @@ def r42_order_of_contact(
     O(kappa^4) order of contact far below plain-MC noise.  Returns a list of
     {kappa, difference, std_error} dicts.
     """
-    import numpy as np
+    from ._np import np
 
     from . import _mc
 

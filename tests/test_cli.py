@@ -261,6 +261,11 @@ class TestExitCodes:
             # a non-finite parameter reaches the eigensolver's band
             (["qrm-spectrum", "--g", "inf", "--delta", "0.5"], "infs or NaNs"),
             (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "nan"], "infs or NaNs"),
+            # a zero denominator or a pole reported as `error: Fraction(1, 0)`
+            (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
+            (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
+            (["divergence", "--n", "2", "--tau", "0"], "--tau"),
+            (["padic-zeta", "--p", "5", "--s", "2", "--tau", "1/0"], "--tau"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -269,6 +274,8 @@ class TestExitCodes:
             "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
             "ncho-odd-N-count-N", "qrm-odd-N-count-N", "qrm-g-inf", "qrm-eps-nan",
+            "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
+            "padic-tau-zero-den",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

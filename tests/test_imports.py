@@ -11,8 +11,18 @@ costs about 0.15 s per process, which dominates a small job.  specval
 imports numpy only inside its cube integrals, so its scalar routines
 (Hurwitz zeta, the closed form of zeta_Q(2), the R_{k,1} series) and the
 Borel sums and formal power series built on them stay free of it.
-verify-all draws no random numbers, so it never loads numpy.random."""
+verify-all draws no random numbers, so it never loads numpy.random or
+hashlib.
 
+Every module takes numpy from ``zetaforge._np``, which imports it with
+OPENBLAS_THREAD_TIMEOUT set, so OpenBLAS's worker thread does not spin
+beside the main thread after the link; ``spectra`` links scipy's LAPACK the
+same way.  The variable is set only during the link, a value the user set
+is kept, and a process that imported numpy first is left alone."""
+
+import ast
+import os
+import pathlib
 import pkgutil
 
 import pytest
@@ -105,3 +115,87 @@ def test_verify_all_draws_no_random_numbers(run_python, budget):
         "print(code, 'numpy.random' in sys.modules)\n"
     )
     assert run_python(code) == "0 False"
+
+
+def test_verify_all_leaves_hashlib_unloaded(run_python):
+    # hashlib keys the Monte Carlo streams, which verify-all never opens
+    if run_python("import sys; print('hashlib' in sys.modules)") == "True":
+        pytest.skip("this interpreter loads hashlib at start-up")
+    code = (
+        "import contextlib, io, sys\n"
+        "from zetaforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['verify-all', '--budget', 'quick'])\n"
+        "print(code, 'hashlib' in sys.modules)\n"
+    )
+    assert run_python(code) == "0 False"
+
+
+_UNSET = "import os\nos.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)\n"
+_CUBE = (
+    "from zetaforge import specval\n"
+    "specval.r_kj_quadrature(2, 1, 0.3, method='TENSOR_GAUSS', budget=4096)\n"
+)
+BLAS_LOADS = {
+    "mc": "import zetaforge._mc\n",
+    "spectra": "import zetaforge.spectra\n",
+    "specval-cube": _CUBE,
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("load", BLAS_LOADS.values(), ids=BLAS_LOADS.keys())
+def test_openblas_workers_do_not_spin_after_the_link(run_python, load):
+    # an OpenBLAS worker spins for about 0.1 s after the link: 5-6 clock
+    # ticks of CPU time when numpy's library was linked unquieted
+    code = _UNSET + load + (
+        "import time\n"
+        "time.sleep(0.3)\n"
+        "ticks = 0\n"
+        "for tid in os.listdir('/proc/self/task'):\n"
+        "    if tid != str(os.getpid()):\n"
+        "        with open(f'/proc/self/task/{tid}/stat') as f:\n"
+        "            stat = f.read().rsplit(')', 1)[1].split()\n"
+        "        ticks += int(stat[11]) + int(stat[12])  # utime + stime\n"
+        "print(ticks)\n"
+    )
+    assert int(run_python(code)) <= 1
+
+
+@pytest.mark.parametrize("user_value", [None, "7"], ids=["unset", "user-set"])
+def test_imports_leave_the_environment_unchanged(run_python, user_value):
+    set_by_user = f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = {user_value!r}\n" if user_value else ""
+    code = _UNSET + set_by_user + (
+        "before = dict(os.environ)\n"
+        "import zetaforge.cli, zetaforge.spectra\n"
+    ) + _CUBE + "print(dict(os.environ) == before, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    assert run_python(code) == f"True {user_value}"
+
+
+@pytest.mark.parametrize("numpy_first", [False, True], ids=["zetaforge-first", "numpy-first"])
+def test_numpy_imported_first_is_left_alone(run_python, numpy_first):
+    code = _UNSET + ("import numpy\n" if numpy_first else "") + (
+        "writes = []\n"
+        "environ = type(os.environ)\n"
+        "setitem = environ.__setitem__\n"
+        "environ.__setitem__ = lambda self, k, v: (writes.append(k), setitem(self, k, v))[1]\n"
+        "import zetaforge._mc\n"
+        "print(writes)\n"
+    )
+    assert run_python(code) == ("[]" if numpy_first else "['OPENBLAS_THREAD_TIMEOUT']")
+
+
+def test_only_the_helper_imports_numpy():
+    package = pathlib.Path(zetaforge.__file__).parent
+    direct = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                direct.append(path.relative_to(package).as_posix())
+    assert direct == ["_np.py"]

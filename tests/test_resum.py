@@ -3,6 +3,7 @@ traces, Borel transforms and sums (integer and fractional order)."""
 
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -94,6 +95,19 @@ class TestFormalSeriesTraces:
             code = cli.run(["--no-meta", "--format", "csv", "divergence", "--n", "2", "--tau", "10", "--K", "300"])
         assert code == 0
         assert len(buf.getvalue().splitlines()) == 302  # header and k = 0..300
+
+    def test_cli_trace_at_a_tau_that_is_not_dyadic_is_exact(self):
+        # a float 1/3 put the rounded tau into the exact product: the k = 1
+        # term read 4.500000000000001
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["--no-meta", "divergence", "--n", "2", "--tau", "1/3", "--K", "40"])
+        assert code == 0
+        rows = json.loads(buf.getvalue())
+        assert [r["k"] for r in rows] == list(range(41))
+        for r in rows:
+            k = r["k"]
+            assert r["term"] == float(_fps_coeff(k, 2) * 3 ** (k + 1)), k
 
     def test_divergence_at_moderate_tau(self):
         rows = fps_hurwitz(2, 2.0, 60)
