@@ -581,29 +581,40 @@ def _verify_all(budget: str, seed: int) -> tuple:
     ok = abs(qp - _qho_partition(0.5)) < 1e-10
     record("qho-quasi-partition", ok, t=0.5, K=30)
 
-    # spectra: exact reductions + bounds
+    # spectra: exact reductions + bounds; where a closed form exists, each
+    # eigenvalue must also lie within its certified radius of it (up to the
+    # closed form's own rounding)
+    def within_radii(spec, exact):
+        return all(
+            abs(lam - x) <= r + 64 * sys.float_info.epsilon * max(1.0, abs(x))
+            for lam, x, r in zip(spec.eigenvalues, exact, spec.convergence)
+        )
+
     p = specval.NchoParams(math.sqrt(2), math.sqrt(2))
     spec = spectra.ncho_eigs(p, N=cfg["ncho_N"], count=cfg["count"], threshold=1e-6)
     exact_eigs = sorted([(n + 0.5) for n in range(cfg["count"])] * 2)[: cfg["count"]]
     ok = max(abs(a - b) for a, b in zip(spec.eigenvalues, exact_eigs)) < 1e-6
-    ok = ok and spectra.ncho_eigen_bounds_ok(spec)
+    ok = ok and within_radii(spec, exact_eigs) and spectra.ncho_eigen_bounds_ok(spec)
     spec21 = spectra.ncho_eigs(
         specval.NchoParams(2.0, 1.0),
         N=cfg["ncho_N"], count=cfg["count"], threshold=1e-5,
     )
     ok = ok and spectra.ncho_eigen_bounds_ok(spec21)
-    record("ncho-spectrum", ok, N=cfg["ncho_N"], count=cfg["count"])
+    record("ncho-spectrum", ok, N=cfg["ncho_N"], count=cfg["count"],
+           sections=[spec.section_N, spec21.section_N])
 
     qd = spectra.qrm_eigs(spectra.QrmParams(0.0, 0.5), N=cfg["qrm_N"], count=10)
     target = sorted([n + s * 0.5 for n in range(7) for s in (-1, 1)])[:10]
     ok = max(abs(a - b) for a, b in zip(qd.eigenvalues, target)) < 1e-9
+    ok = ok and within_radii(qd, target)
     res = spectra.qrm_partition_series(
         spectra.QrmParams(0.3, 0.0), 1.0, lam_max=2, budget=1000, seed=seed
     )
     spec_d0 = spectra.qrm_eigs(spectra.QrmParams(0.3, 0.0), N=cfg["qrm_N"], count=40)
     z_d0, _ = spectra.partition_from_spectrum(spec_d0, 1.0, tail="QHO_BOUND")
     ok = ok and abs(res.value - z_d0) < 1e-8
-    record("qrm-spectrum-and-partition", ok, N=cfg["qrm_N"])
+    record("qrm-spectrum-and-partition", ok, N=cfg["qrm_N"],
+           sections=[qd.section_N, spec_d0.section_N])
 
     # borel
     rb = resum.borel_sum_hurwitz(2, 1.0 / 3.0)
@@ -652,6 +663,13 @@ def _cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+_N_BASIS_HELP = (
+    "truncation N: Hermite or Fock levels n < N; the eigenvalues are this "
+    "truncation's, each certified by its Ritz residual on the smallest leading "
+    "section that converges (default: %(default)s)"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -738,7 +756,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("ncho-spectrum", help="matrix-oscillator eigenvalues")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n-basis", type=int, default=1024)
+    p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=1024)
     p.add_argument("--count", type=int, default=40)
     p.add_argument("--threshold", type=float, default=1e-8)
     p.set_defaults(handler=_cmd_ncho_spectrum)
@@ -747,7 +765,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--n-basis", type=int, default=512)
+    p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=512)
     p.add_argument("--count", type=int, default=40)
     p.add_argument("--threshold", type=float, default=1e-8)
     p.set_defaults(handler=_cmd_qrm_spectrum)
@@ -760,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--n-basis", type=int, default=512)
+    p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=512)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.set_defaults(handler=_cmd_partition)
@@ -777,7 +795,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--odd-terms", type=int, default=3)
-    p.add_argument("--n-basis", type=int, default=1024)
+    p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=1024)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--threshold", type=float, default=1e-5)
     p.set_defaults(handler=_cmd_heat_fit)
@@ -788,7 +806,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--n-basis", type=int, default=768)
+    p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=768)
     p.add_argument("--count", type=int, default=380)
     p.set_defaults(handler=_cmd_mellin_zeta)
 

@@ -11,13 +11,29 @@ Both models conserve a Z2 parity, so each truncation splits into sectors
 in band storage: four tridiagonal chains of size about N/2 for the
 oscillator, two chains of size N for the symmetric Rabi model, and one band
 of half-width 2 when a bias breaks the parity.  Side by side the sectors
-are one band, zero at every seam, so each truncation is one call of
-LAPACK's banded bisection ``dsbevx`` for the lowest eigenvalues of the union;
-nothing is cached.  The routine comes from scipy's f2py LAPACK wrappers, the
-module behind ``scipy.linalg.lapack.dsbevx``, loaded from its file when this
-module is imported, so that no process pays for importing ``scipy.linalg``.
-Each eigenvalue carries the variational |lambda_N - lambda_{N/2}| convergence
-estimate; the dense ``*_truncated_matrix`` builders are the small-N test
+are one band, zero at every seam.
+
+Each eigenvalue is certified by its Ritz residual, with one solve.  The
+leading section of size M (the levels n < M) is a compression of every
+deeper truncation, so its lowest eigenvalues theta_k lie above theirs
+(interlacing), and each theta_k with its eigenvector v lies within
+||H v - theta_k v|| of an eigenvalue of every truncation from M up and of
+the untruncated model: the residual inside the section plus the coupling
+to the next rung (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).
+The sections double from the smallest power of two that holds ``count``
+levels until every residual is within its own rounding bound, so the
+values returned are the N truncation's eigenvalues to rounding; a doubling
+past N/2 goes straight to N.  A Sturm count (inertia) of the 2N truncation
+at the edges of the residual intervals proves which eigenvalue each one
+holds; where it does not, the radius is the enclosure that the model's
+pair bounds give.  Nothing is cached.
+
+The LAPACK routines come from scipy's f2py wrappers, the module behind
+``scipy.linalg.lapack``, loaded from its file when this module is imported,
+so that no process pays for importing ``scipy.linalg``: bisection and
+inverse iteration (``dstebz``, ``dstein``) for the chains, and banded
+bisection (``dsbevx``) with banded LU (``dgbtrf``, ``dgbtrs``) for the
+biased band.  The dense ``*_truncated_matrix`` builders are the small-N test
 reference.
 """
 
@@ -113,11 +129,23 @@ class QrmParams:
 
 @dataclass
 class SpectrumResult:
+    """Lowest eigenvalues of a truncation with certified radii.
+
+    When ``index_proved``, the k-th eigenvalue of every truncation from
+    ``section_N`` to 2 ``truncation_N`` levels lies within ``convergence[k]``
+    of ``eigenvalues[k]``.  Otherwise ``convergence[k]`` is the enclosure of
+    the model's pair bounds, which holds from ``section_N`` levels up and for
+    the untruncated model.  ``section_N`` is the leading section solved: the
+    smallest that converged, or ``truncation_N``.
+    """
+
     eigenvalues: list
     model: str  # "ncho" | "qrm" | "qho"
     params: Optional[NchoParams | QrmParams]  # what was solved; None for qho
     truncation_N: int
     convergence: list
+    section_N: int
+    index_proved: bool
 
 
 @dataclass
@@ -265,6 +293,31 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 _SAFE_MIN = _flapack.dlamch("s")
+_EPS = float(np.finfo(float).eps)
+# eigenvectors are formed and checked this many elements (64 kB) at a time:
+# larger temporaries are fresh allocations, whose page faults can cost more
+# than the arithmetic on them
+_VECTOR_BLOCK = 1 << 13
+
+
+def _check_info(info: int, name: str) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{name} did not converge (LAPACK info={info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {name}")
+
+
+def _band_eigenvalues(band: np.ndarray, il: int, iu: int) -> np.ndarray:
+    """Eigenvalues il..iu (from 1, ascending) of a symmetric band in lower
+    storage, by the ``dsbevx`` call that ``scipy.linalg.eig_banded(band,
+    lower=True, eigvals_only=True, select="i")`` makes, argument for
+    argument, so the eigenvalues are the same bits."""
+    w, _, found, _, info = _flapack.dsbevx(
+        band, 0.0, 1.0, il, iu, compute_v=0, mmax=1, range=2, lower=1,
+        overwrite_ab=0, abstol=2 * _SAFE_MIN,
+    )
+    _check_info(info, "dsbevx")
+    return w[:found]
 
 
 def _lowest(blocks: list, count: int) -> np.ndarray:
@@ -272,47 +325,307 @@ def _lowest(blocks: list, count: int) -> np.ndarray:
     whose blocks are in lower band storage of one half-width.  Row i of a
     block leaves its last i slots zero, so side by side the blocks are one
     band, zero at every seam: one bisection splits it there and finds only
-    the lowest ``count`` of the union, not ``count`` per block.
-
-    The ``dsbevx`` call is the one ``scipy.linalg.eig_banded(band,
-    lower=True, eigvals_only=True, select="i")`` makes, argument for
-    argument, so the eigenvalues are the same bits."""
+    the lowest ``count`` of the union, not ``count`` per block.  The solvers
+    certify a leading section instead; this is the full-truncation
+    reference."""
     band = np.concatenate(blocks, axis=1)
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    m = min(count, band.shape[1])
-    w, _, found, _, info = _flapack.dsbevx(
-        band, 0.0, 1.0, 1, m, compute_v=0, mmax=1, range=2, lower=1,
-        overwrite_ab=0, abstol=2 * _SAFE_MIN,
-    )
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dsbevx did not converge (LAPACK info={info})")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal dsbevx")
-    return w[:found]
+    return _band_eigenvalues(band, 1, min(count, band.shape[1]))
+
+
+def _norm_bound(band: np.ndarray) -> float:
+    """Bound on the 2-norm of a symmetric band (Gershgorin)."""
+    return float(np.abs(band[0]).max() + 2.0 * np.abs(band[1:]).max(axis=1).sum())
+
+
+def _chunks(select: np.ndarray, n: int) -> list:
+    step = max(1, _VECTOR_BLOCK // n)
+    return [select[i : i + step] for i in range(0, len(select), step)]
+
+
+def _chain_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
+    """Eigenvalues il..iu of a union of tridiagonal chains by bisection
+    (``dstebz``, grouped by split-off block), the first row of each one's
+    block, and a function that yields the eigenvectors of a selection of
+    them by inverse iteration (``dstein``), a block of vectors at a time, one
+    vector per row.  The tolerance is LAPACK's default, eps ||T||: the
+    residuals hold the values' error."""
+    d, e = band[0], band[1, :-1]
+    found, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
+    _check_info(info, "dstebz")
+    w, blocks = w[:found], iblock[:found]
+    firsts = np.concatenate(([0], isplit))[blocks - 1]
+
+    def vectors(select: np.ndarray):
+        for part in _chunks(select, len(d)):
+            ib = iblock.copy()  # dstein reads the first len(part) entries of n
+            ib[: len(part)] = blocks[part]
+            z, info = _flapack.dstein(d, e, w[part], ib, isplit)
+            # info > 0 counts vectors that missed dstein's own test; their
+            # residuals say how far they are
+            _check_info(min(info, 0), "dstein")
+            yield part, z.T
+
+    return w, firsts, vectors
+
+
+def _band_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
+    """Eigenvalues il..iu of a band by ``dsbevx``, the first row of each
+    one's block (0: the band is one block), and a function that yields the
+    eigenvectors of a selection of them, a block at a time, one vector per
+    row: two steps of inverse iteration on the band's LU factors
+    (``dgbtrf``, ``dgbtrs``).  ``dsbevx`` itself would form a dense n x n
+    transformation for them."""
+    w = _band_eigenvalues(band, il, iu)
+    kd, n = band.shape[0] - 1, band.shape[1]
+    ab = np.zeros((3 * kd + 1, n))  # general band storage; the top kd rows take the fill-in
+    ab[2 * kd] = band[0]
+    for i in range(1, kd + 1):
+        ab[2 * kd + i, : n - i] = band[i, : n - i]
+        ab[2 * kd - i, i:] = band[i, : n - i]
+    tiny = _EPS * _norm_bound(band)
+    start = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5  # fixed: runs repeat bit for bit
+    # the factors and iterates may overwrite these buffers in place
+    shifted, x = np.empty_like(ab, order="F"), np.empty((n, 1), order="F")
+
+    def vectors(select: np.ndarray):
+        for part in _chunks(select, n):
+            z = np.empty((len(part), n))
+            for j, theta in enumerate(w[part]):
+                shifted[:] = ab
+                shifted[2 * kd] -= theta
+                lu, piv, info = _flapack.dgbtrf(shifted, kd, kd, overwrite_ab=1)
+                _check_info(min(info, 0), "dgbtrf")
+                if info > 0:  # an exactly singular factor
+                    lu[2 * kd][lu[2 * kd] == 0.0] = tiny
+                x[:, 0] = start
+                y = x
+                for _ in range(2):  # |y| grows by 1/|theta - lambda| each step
+                    y, info = _flapack.dgbtrs(lu, kd, kd, y, piv, overwrite_b=1)
+                    _check_info(info, "dgbtrs")
+                z[j] = y[:, 0]
+            yield part, z
+
+    return w, np.zeros(len(w), dtype=int), vectors
+
+
+def _extend(blocks: list, deep: list) -> tuple:
+    """The section's blocks, each with the rows past its cut that couple to
+    it, read from the deeper truncation ``deep`` and laid side by side; and
+    (start among them, start in the section, size) of each block's own
+    rows.  A section eigenvector padded with zeros on the added rows has
+    there the residual of every deeper truncation: the coupling to the next
+    rung."""
+    out, spans, start, own = [], [], 0, 0
+    for block, full in zip(blocks, deep):
+        kd, size = block.shape[0] - 1, block.shape[1]
+        ext = full[:, : size + kd].copy()
+        for i in range(1, kd + 1):
+            ext[i, -i:] = 0.0  # nothing couples past the added rows
+        out.append(ext)
+        spans.append((start, own, size))
+        start, own = start + size + kd, own + size
+    return np.concatenate(out, axis=1), spans
+
+
+def _residuals(ext: np.ndarray, spans: list, w: np.ndarray, chunks) -> np.ndarray:
+    """||H v - theta v|| / ||v|| for each section pair (theta, v) that
+    ``chunks`` yields, for every deeper truncation H, on the extended band
+    from ``_extend``; in the order of the chunks, inf where not finite."""
+    residuals = []
+    sq = lambda a: np.einsum("ij,ij->i", a, a)
+    for part, z in chunks:
+        v = np.zeros((len(part), ext.shape[1]))
+        for start, own, size in spans:
+            v[:, start : start + size] = z[:, own : own + size]
+        r = v * ext[0]
+        r -= w[part, None] * v
+        for i in range(1, ext.shape[0]):
+            off = ext[i, :-i]
+            r[:, i:] += off * v[:, :-i]
+            r[:, :-i] += off * v[:, i:]
+        residuals.append(np.sqrt(sq(r) / sq(z)))
+    res = np.concatenate(residuals)
+    return np.where(np.isfinite(res), res, np.inf)
+
+
+def _copies(blocks: list) -> int:
+    """2 when the blocks come in pairs of identical copies (the oscillator at
+    alpha = beta, the Rabi model at Delta = 0), else 1."""
+    if len(blocks) % 2 == 0 and all(
+        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(blocks[0::2], blocks[1::2])
+    ):
+        return 2
+    return 1
+
+
+def _count_below(band: np.ndarray, sigma: float) -> Optional[int]:
+    """Number of eigenvalues <= sigma of a symmetric band of half-width 1 or
+    2, by inertia: the Sturm count of LAPACK's bisection for chains, the 2 x 2
+    block LDL^T factorization of the band otherwise; None when a pivot
+    block is singular to rounding."""
+    if band.shape[0] == 2:
+        d, e = band[0], band[1, :-1]
+        floor = d.min() - 2.0 * np.abs(e).max() - 1.0  # below every eigenvalue
+        if sigma <= floor:
+            return 0
+        # with an unbounded tolerance dstebz counts at the ends of
+        # (floor, sigma] and bisects no further
+        found, _, _, _, info = _flapack.dstebz(
+            d, e, 1, floor, sigma, 0, 0, sys.float_info.max, "E"
+        )
+        return found if info == 0 else None
+    # Gershgorin margins of the rows from j on: once they exceed the norm of
+    # the Schur complement's correction, the rest is positive definite
+    n = band.shape[1]
+    radius = np.zeros(n)
+    for i in (1, 2):
+        radius[:-i] += np.abs(band[i, :-i])
+        radius[i:] += np.abs(band[i, :-i])
+    margin = np.minimum.accumulate((band[0] - radius)[::-1])[::-1].tolist()
+    a, b1, b2 = (row.tolist() for row in band)
+    negative, p, q, r = 0, 0.0, 0.0, 0.0
+    for j in range(0, n, 2):
+        pj, qj, rj = a[j] - sigma, b1[j], a[j + 1] - sigma
+        if j:
+            # minus B S^{-1} B^T, with B = [[x, y], [0, z]] the block that
+            # couples rows j, j + 1 to rows j - 2, j - 1
+            x, y, z = b2[j - 2], b1[j - 1], b2[j - 1]
+            det = p * r - q * q
+            if p > 0 and det > 0:
+                smallest = 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
+                if margin[j] - sigma > (x * x + y * y + z * z) / smallest:
+                    return negative
+            pj -= (x * x * r - 2.0 * x * y * q + y * y * p) / det
+            qj -= z * (y * p - x * q) / det
+            rj -= z * z * p / det
+        p, q, r = pj, qj, rj
+        det = p * r - q * q
+        if not abs(det) > 8.0 * _EPS * (abs(p * r) + q * q):
+            return None
+        negative += 1 if det < 0 else 2 if p < 0 else 0
+    return negative
+
+
+def _index_radii(w: np.ndarray, r: np.ndarray, owner: np.ndarray,
+                 below: Callable) -> Optional[np.ndarray]:
+    """Radii that bound |w_k - lambda_k| for the k-th eigenvalue of a
+    block-diagonal matrix of which the w are Ritz values, given the block
+    that owns each and the count below(sigma) of eigenvalues <= sigma; None
+    when the counts do not prove the index.
+
+    Each interval [w_k - r_k, w_k + r_k] holds an eigenvalue of its own
+    block, and lambda_k <= w_k (interlacing).  Overlapping intervals merge
+    into clusters.  A cluster whose values all come from different blocks
+    holds as many eigenvalues as values; one with two values of a block
+    needs one count at its left edge a being its first index i (then its
+    lambda_k lie in (a, w_k]).  The count at the top edge being len(w) then
+    leaves to each cluster its own number of eigenvalues and none between
+    them, so a cluster's lambda_k lie in (a, w_k]; failing that, the count
+    at the last cluster's left edge being its first index does the same
+    below that edge and for the last cluster.
+    """
+    clusters = []  # (first index, left edge, right edge)
+    for k in range(len(w)):
+        first, lo, hi = k, w[k] - r[k], w[k] + r[k]
+        while clusters and lo <= clusters[-1][2]:
+            first, lo0, hi0 = clusters.pop()
+            lo, hi = min(lo, lo0), max(hi, hi0)
+        clusters.append((first, lo, hi))
+    radii = np.array(r, dtype=float)
+    ends = [c[0] for c in clusters[1:]] + [len(w)]
+    for (first, lo, _), end in zip(clusters, ends):
+        if end - first > 1:
+            if len(set(owner[first:end].tolist())) < end - first and below(lo) != first:
+                return None
+            radii[first:end] = w[first:end] - lo
+    first, lo, hi = clusters[-1]
+    if below(hi) != len(w) and below(lo) != first:
+        return None
+    return radii
+
+
+def _sections(N: int, count: int) -> list:
+    """Leading-section sizes: doublings from the smallest power of two (at
+    least 16) that holds ``count`` levels while they stay within N/2, then N.
+    Together the sections below N hold fewer than N levels, and each one
+    that fails costs only the bisection for its count-th eigenvalue."""
+    M, sizes = max(16, 1 << (count - 1).bit_length()), []
+    while M <= N // 2:
+        sizes.append(M)
+        M *= 2
+    return sizes + [N]
 
 
 def _solve(model: str, params, sectors: Callable, N: int, count: int,
            threshold: float) -> SpectrumResult:
-    """Solve at N and N/2, certify convergence, and wrap the result."""
+    """Certify the lowest ``count`` eigenvalues of the N truncation on the
+    smallest leading section that converges, and wrap the result."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count > 2 * (N // 2):
-        raise ValueError(
-            f"count must not exceed {2 * (N // 2)}, the size of the N // 2 truncation"
-        )
-    full = _lowest(sectors(params, N), count)
-    conv = np.abs(full - _lowest(sectors(params, N // 2), count))
-    if conv.max() > threshold:
+    if count > 2 * N:
+        raise ValueError(f"count must not exceed {2 * N}, the size of the truncation")
+    deep = sectors(params, 2 * N)
+    # identical sectors share their eigenpairs: solve one copy of each
+    copies = _copies(deep)
+    deep = deep[::copies]
+    distinct = -(-count // copies)
+    deep_band = np.concatenate(deep, axis=1)
+    if not np.isfinite(deep_band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    below = lambda sigma: _count_below(deep_band, sigma)
+    # every truncation's k-th eigenvalue from M levels up lies in [lower_k, w_k]
+    lower = _pair_bounds(model, params, np.arange(count) // 2)[0][0]
+    for M in _sections(N, count):
+        blocks = sectors(params, M)[::copies]
+        band = np.concatenate(blocks, axis=1)
+        ext, spans = _extend(blocks, deep)
+        pairs = _chain_pairs if band.shape[0] == 2 else _band_pairs
+        scale = _norm_bound(band)
+        rounding_of = lambda w: 8.0 * _EPS * (scale + np.abs(w))  # of a residual at w
+        if M < N:
+            # the highest vector reaches furthest: try it alone first
+            w, _, vectors = pairs(band, distinct, distinct)
+            if _residuals(ext, spans, w, vectors(np.arange(1)))[0] > rounding_of(w[0]):
+                continue
+        w, firsts, vectors = pairs(band, 1, distinct)
+        order = np.argsort(w, kind="stable")
+        if M == N:
+            # the highest value's radius is at least the smaller of these
+            top = order[-1:]
+            radius = _residuals(ext, spans, w, vectors(top))[0] + rounding_of(w[top[0]])
+            radius = min(radius, w[top[0]] - lower[-1] + rounding_of(w[top[0]]))
+            if radius > threshold:
+                raise NotConverged(
+                    f"max convergence estimate {radius:.3e} exceeds {threshold:.3e}"
+                )
+        res = _residuals(ext, spans, w, vectors(np.arange(len(w))))[order]
+        w = w[order]
+        rounding = rounding_of(w)
+        if M < N and np.any(res > rounding):
+            continue
+        owner = np.searchsorted(np.cumsum([b.shape[1] for b in blocks]), firsts[order], side="right")
+        radii = _index_radii(w, res + rounding, owner, below)
+        if radii is None and M < N:
+            continue
+        break
+    proved = radii is not None
+    w, rounding = np.repeat(w, copies)[:count], np.repeat(rounding, copies)[:count]
+    enclosure = np.maximum(w - lower, 0.0) + rounding
+    radii = np.minimum(np.repeat(radii, copies)[:count], enclosure) if proved else enclosure
+    if radii.max() > threshold:
         raise NotConverged(
-            f"max convergence estimate {conv.max():.3e} exceeds {threshold:.3e}"
+            f"max convergence estimate {radii.max():.3e} exceeds {threshold:.3e}"
         )
     return SpectrumResult(
-        eigenvalues=full.tolist(),
+        eigenvalues=w.tolist(),
         model=model,
         params=params,
         truncation_N=N,
-        convergence=conv.tolist(),
+        convergence=radii.tolist(),
+        section_N=M,
+        index_proved=proved,
     )
 
 
@@ -322,9 +635,10 @@ def ncho_eigs(
     count: int = 40,
     threshold: float = 1e-8,
 ) -> SpectrumResult:
-    """Lowest eigenvalues of the matrix-oscillator truncation with
-    N-versus-N/2 convergence estimates.  Raises NotConverged when any
-    estimate exceeds the threshold, and BoundsViolated when a converged
+    """Lowest eigenvalues of the matrix-oscillator truncation, each with a
+    certified radius (see ``SpectrumResult``) from the Ritz residual on the
+    smallest leading section that converges.  Raises NotConverged when any
+    radius exceeds the threshold, and BoundsViolated when a converged
     eigenvalue leaves its two-sided pair bounds."""
     out = _solve("ncho", params, _ncho_sectors, N, count, threshold)
     # slack of a couple of convergence units for not-yet-tight values
@@ -339,8 +653,10 @@ def qrm_eigs(
     count: int = 40,
     threshold: float = 1e-8,
 ) -> SpectrumResult:
-    """Lowest eigenvalues of the Rabi-model Fock truncation (bias included)
-    with N-versus-N/2 convergence estimates."""
+    """Lowest eigenvalues of the Rabi-model Fock truncation (bias included),
+    each with a certified radius (see ``SpectrumResult``) from the Ritz
+    residual on the smallest leading section that converges.  Raises
+    NotConverged when any radius exceeds the threshold."""
     return _solve("qrm", params, _qrm_sectors, N, count, threshold)
 
 
@@ -352,6 +668,8 @@ def qho_spectrum(count: int) -> SpectrumResult:
         params=None,
         truncation_N=count,
         convergence=[0.0] * count,
+        section_N=count,
+        index_proved=True,
     )
 
 
@@ -374,6 +692,20 @@ def ncho_eigen_bounds_ok(spec: SpectrumResult, slack: float = 1e-9) -> bool:
         if not (b_lo - slack <= lam1 <= lam2 <= b_hi + slack):
             return False
     return True
+
+
+def _pair_bounds(model: str, params, j):
+    """((lower, step), (upper, step)): bounds on the untruncated model's
+    eigenvalue pair j (eigenvalues 2j and 2j + 1, counted from 0), each with
+    its step from one pair to the next.  The oscillator's are the pair
+    bounds above; pair j of the Rabi model's a+a + g (a + a+) sx sits at
+    j - g^2, and the remaining terms have norm at most Delta + |eps|.  Every
+    truncation's pair j lies above the lower bound (interlacing)."""
+    if model == "ncho":
+        lo, hi = _ncho_slope_bounds(params)
+        return (lo * (j + 0.5), lo), (hi * (j + 0.5), hi)
+    g2, d = params.g ** 2, params.delta + abs(params.eps)
+    return (j - g2 - d, 1.0), (j - g2 + d, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +731,9 @@ def _tail_bracket(
         raise ValueError(f"unknown model {spec.model!r}")
     elif n % 2 != 0:
         raise ValueError("tail bracket expects an even eigenvalue count")
-    elif spec.model == "ncho":
-        lo, hi = _ncho_slope_bounds(spec.params)
-        j0 = n // 2 + 1  # first pair not computed
-        below, above = (2, lo * (j0 - 0.5), lo), (2, hi * (j0 - 0.5), hi)
     else:
-        g2 = spec.params.g ** 2
-        d = spec.params.delta + abs(spec.params.eps)
-        m0 = n // 2  # next Fock level: eigenvalue pair in m0 - g^2 -/+ d
-        below, above = (2, m0 - g2 - d, 1.0), (2, m0 - g2 + d, 1.0)
+        low, high = _pair_bounds(spec.model, spec.params, n // 2)  # first pair not computed
+        below, above = (2, *low), (2, *high)
     lower, upper = progression_sum(*above), progression_sum(*below)
     return head + 0.5 * (lower + upper), 0.5 * abs(upper - lower)
 
@@ -417,25 +743,39 @@ def partition_from_spectrum(
 ) -> Tuple[float, float]:
     """Z(t) = sum_j e^{-lambda_j t} over the computed spectrum.
 
-    tail="QHO_BOUND" appends the model's two-sided oscillator tail bracket
-    beyond the last computed index and returns (midpoint, half_width);
-    tail="NONE" returns (partial sum, 0).  Raises TailDominates when the
-    half-width exceeds 10% of the value.
+    The half-width holds the error of that partial sum from the
+    eigenvalues' own radii r_j: at most sum_j t e^{-(lambda_j - r_j) t} r_j
+    (the largest slope of e^{-lambda t} within each radius), itself at most
+    t e^{t max r} sum_j e^{-lambda_j t} r_j, which is added.  tail="QHO_BOUND"
+    appends the model's two-sided oscillator tail bracket beyond the last
+    computed index and returns (midpoint, half_width); tail="NONE" returns
+    (partial sum, its error).  Raises TailDominates when the half-width
+    exceeds 10% of the value.
     """
+    return _partition(spec, t, tail, head_error=True)
+
+
+def _partition(spec: SpectrumResult, t: float, tail: str, head_error: bool) -> Tuple[float, float]:
     if t <= 0:
         raise ValueError("t must be positive")
-    head = math.fsum(math.exp(-lam * t) for lam in spec.eigenvalues)
-    if tail == "NONE":
-        return head, 0.0
-    if tail != "QHO_BOUND":
+    if tail not in ("NONE", "QHO_BOUND"):
         raise ValueError("tail must be NONE or QHO_BOUND")
+    terms = [math.exp(-lam * t) for lam in spec.eigenvalues]
+    value, half = math.fsum(terms), 0.0
+    if tail == "QHO_BOUND":
 
-    def geometric(mult: int, first: float, gap: float) -> float:
-        # mult * sum_{m>=0} e^{-t(first + m*gap)}
-        return mult * math.exp(-t * first) / -math.expm1(-t * gap)
+        def geometric(mult: int, first: float, gap: float) -> float:
+            # mult * sum_{m>=0} e^{-t(first + m*gap)}
+            return mult * math.exp(-t * first) / -math.expm1(-t * gap)
 
-    value, half = _tail_bracket(spec, head, geometric)
-    if half > 0.1 * value:
+        value, half = _tail_bracket(spec, value, geometric)
+    if head_error and spec.convergence:
+        exponent = t * max(spec.convergence)  # e^{r_j t} <= e^{exponent}
+        half += (
+            t * math.exp(exponent) * math.fsum(e * r for e, r in zip(terms, spec.convergence))
+            if exponent < 700.0 else math.inf
+        )
+    if tail == "QHO_BOUND" and half > 0.1 * value:
         raise TailDominates(
             f"tail half-width {half:.3e} exceeds 10% of Z = {value:.3e}"
         )
@@ -443,10 +783,11 @@ def partition_from_spectrum(
 
 
 def partition_callable(spec: SpectrumResult) -> Callable[[float], float]:
-    """Z(t) as a scalar callable: the midpoint of the tail-completed bracket."""
+    """Z(t) as a scalar callable: the midpoint of the tail-completed
+    bracket, which the eigenvalues' radii leave where it is."""
 
     def Z(t: float) -> float:
-        return partition_from_spectrum(spec, t, tail="QHO_BOUND")[0]
+        return _partition(spec, t, "QHO_BOUND", head_error=False)[0]
 
     return Z
 
@@ -700,14 +1041,22 @@ def spectral_zeta_direct(
     spec: SpectrumResult, s: float, tau: float
 ) -> Tuple[float, float]:
     """sum_j (lambda_j + tau)^{-s} over the computed spectrum plus the
-    two-sided tail bracket; returns (midpoint, half_width)."""
+    two-sided tail bracket; returns (midpoint, half_width).  The half-width
+    also holds the partial sum's error from the eigenvalues' radii r_j,
+    sum_j s (lambda_j - r_j + tau)^{-s-1} r_j."""
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
+    error = math.fsum(
+        s * (lam - r + tau) ** (-s - 1.0) * r if lam - r + tau > 0 else math.inf
+        for lam, r in zip(spec.eigenvalues, spec.convergence)
+        if r
+    )
 
     def zeta_tail(mult: int, first: float, gap: float) -> float:
         # mult * sum_{m>=0} (first + m*gap + tau)^{-s}
         return mult * gap**-s * float(hurwitz_zeta_num(s, (first + tau) / gap))
 
-    return _tail_bracket(spec, head, zeta_tail)
+    value, half = _tail_bracket(spec, head, zeta_tail)
+    return value, half + error
 
 
 # ---------------------------------------------------------------------------

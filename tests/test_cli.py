@@ -185,8 +185,8 @@ class TestExitCodes:
         assert cli.run(["--help"]) == 0
 
     def test_uncertified_result_exits_three(self, capsys):
-        # N = 64 is far too small for alpha * beta = 1.2: the N-versus-N/2
-        # certificate fails, which is reported, not raised
+        # N = 64 is far too small for alpha * beta = 1.2: the certified
+        # radii exceed the threshold, which is reported, not raised
         code = cli.run([
             "--no-meta", "ncho-spectrum", "--alpha", "1.2", "--beta", "1.0",
             "--n-basis", "64", "--count", "40",
@@ -252,12 +252,11 @@ class TestExitCodes:
              "samples"),
             (["ncho-spectrum", "--alpha", "2", "--beta", "1", "--count", "0"], "count"),
             (["quasi-partition", "--t", "0.5", "--K", "-1"], "K"),
-            # an odd N: the N // 2 truncation holds only N - 1 eigenvalues,
-            # which ended in a numpy broadcast error
-            (["ncho-spectrum", "--alpha", "3", "--beta", "1.5", "--n-basis", "127", "--count", "127"],
-             "N // 2 truncation"),
-            (["qrm-spectrum", "--g", "0.5", "--delta", "0.7", "--n-basis", "127", "--count", "127"],
-             "N // 2 truncation"),
+            # more eigenvalues than the truncation's 2N levels hold
+            (["ncho-spectrum", "--alpha", "3", "--beta", "1.5", "--n-basis", "127", "--count", "255"],
+             "size of the truncation"),
+            (["qrm-spectrum", "--g", "0.5", "--delta", "0.7", "--n-basis", "127", "--count", "255"],
+             "size of the truncation"),
             # a non-finite parameter reaches the eigensolver's band
             (["qrm-spectrum", "--g", "inf", "--delta", "0.5"], "infs or NaNs"),
             (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "nan"], "infs or NaNs"),
@@ -273,7 +272,7 @@ class TestExitCodes:
             "los-composite-p", "pary-composite-p",
             "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
-            "ncho-odd-N-count-N", "qrm-odd-N-count-N", "qrm-g-inf", "qrm-eps-nan",
+            "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den",
         ],
@@ -326,6 +325,8 @@ class TestSpectrumCommands:
         rep = json.loads(out)
         assert code == 0 and rep["bounds_ok"]
         assert len(rep["eigenvalues"]) == 10 == len(rep["convergence"])
+        # provenance: the leading section solved, and the proved index
+        assert rep["section_N"] <= rep["truncation_N"] == 128 and rep["index_proved"]
 
     def test_partition_qho(self):
         import math

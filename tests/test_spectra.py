@@ -181,8 +181,8 @@ class TestLapackCall:
 
 
 class TestDeepBounds:
-    """Proved eigenvalue bounds (at N = 4096) and the N-versus-N/2
-    convergence estimate (at 32 N) checked against deep truncations."""
+    """Proved eigenvalue bounds (at N = 4096) and the certified radii (at
+    32 N) checked against deep truncations."""
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("delta,eps", [(0.3, 0.0), (1.2, 0.0), (0.7, 0.4)])
@@ -207,20 +207,84 @@ class TestDeepBounds:
         + [("qrm", QrmParams(3.0, 0.7, 0.4))],
     )
     def test_convergence_estimate_bounds_deep_error(self, model, params):
-        # the N-versus-N/2 estimate must cover the distance to the truncation
-        # at 32 N, up to rounding; on this grid the estimates at small N are
-        # far above rounding noise (up to 22 at N = 32)
+        # the certified radius must cover the distance to the truncation at
+        # 32 N, up to rounding; on this grid the small N are far from
+        # converged (errors up to 8 at N = 32)
         sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
         count = 32
         for N in (32, 64, 128, 256):
-            blocks = sectors(params, N)
-            band = np.concatenate(blocks, axis=1)
-            norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1:]).max(axis=1).sum()  # Gershgorin
-            lam = spectra._lowest(blocks, count)
-            estimate = np.abs(lam - spectra._lowest(sectors(params, N // 2), count))
+            spec = spectra._solve(model, params, sectors, N, count, math.inf)
+            lam, radius = np.array(spec.eigenvalues), np.array(spec.convergence)
+            norm = spectra._norm_bound(np.concatenate(sectors(params, N), axis=1))  # Gershgorin
             error = np.abs(lam - spectra._lowest(sectors(params, 32 * N), count))
             slack = 64.0 * np.finfo(float).eps * norm
-            assert np.all(error <= estimate + slack), (N, np.max(error - estimate))
+            assert np.all(error <= radius + slack), (N, np.max(error - radius))
+
+
+AGREEMENT_MODELS = [
+    ("ncho", NchoParams(SQRT2, SQRT2)),
+    ("ncho", NchoParams(2.0, 1.0)),
+    ("ncho", NchoParams(1.2, 1.0)),
+    ("ncho", NchoParams(3.0, 1.5)),
+    ("ncho", NchoParams(2.5, 0.6)),
+    ("qrm", QrmParams(0.0, 0.5)),
+    ("qrm", QrmParams(0.5, 0.0)),
+    ("qrm", QrmParams(0.4, 0.7)),
+    ("qrm", QrmParams(1.5, 0.3)),
+    ("qrm", QrmParams(0.4, 0.7, eps=0.3)),
+    ("qrm", QrmParams(0.5, 0.0, eps=0.3)),
+    ("qrm", QrmParams(1.0, 1.2, eps=0.5)),
+]
+
+
+class TestCertifiedSolve:
+    """The solvers certify a leading section; their values must be the N
+    truncation's own lowest eigenvalues, each within its radius."""
+
+    # an odd N, counts from 1 to 200, sections that converge early and ones
+    # that only converge at N
+    @pytest.mark.parametrize("N,count", [(32, 1), (64, 7), (127, 45), (256, 40), (512, 200)])
+    @pytest.mark.parametrize("model,params", AGREEMENT_MODELS)
+    def test_matches_full_truncation(self, model, params, N, count):
+        solve, sectors = (
+            (ncho_eigs, spectra._ncho_sectors) if model == "ncho" else (qrm_eigs, spectra._qrm_sectors)
+        )
+        spec = solve(params, N=N, count=count, threshold=math.inf)
+        full = spectra._lowest(sectors(params, N), count)
+        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(np.concatenate(sectors(params, N), axis=1))
+        deviation = np.abs(np.array(spec.eigenvalues) - full)
+        assert len(spec.eigenvalues) == count and spec.index_proved
+        assert spec.section_N <= N and spec.truncation_N == N
+        assert np.max(deviation) <= slack
+        assert np.all(deviation <= np.array(spec.convergence) + slack)
+
+    def test_small_sections_certify_converged_values(self):
+        # the lowest 40 converge long before N = 1024: one small section
+        # holds them, at the rounding floor
+        spec = qrm_eigs(QrmParams(0.5, 0.7), N=1024, count=40)
+        assert spec.section_N < 1024 and max(spec.convergence) < 1e-11
+
+    def test_unproved_index_is_labelled_an_enclosure(self):
+        # at g = 0 the biased levels are n -/+ sqrt(Delta^2 + eps^2) exactly;
+        # the whole truncation at N = 33 ends with 32.58, while the 2N
+        # truncation's 66th eigenvalue is 32.42, so no count can prove the
+        # index there: the radii fall back to the pair bounds, which do hold
+        params = QrmParams(0.0, 0.5, 0.3)
+        spec = qrm_eigs(params, N=33, count=66, threshold=math.inf)
+        assert not spec.index_proved
+        lam, radius = np.array(spec.eigenvalues), np.array(spec.convergence)
+        assert np.array_equal(lam, spectra._lowest(spectra._qrm_sectors(params, 33), 66))
+        deep = spectra._lowest(spectra._qrm_sectors(params, 66), 66)
+        assert np.all(np.abs(lam - deep) <= radius) and radius.max() > 1.0
+        with pytest.raises(NotConverged):
+            qrm_eigs(params, N=33, count=66)
+
+    @pytest.mark.parametrize("solve", [ncho_eigs, qrm_eigs], ids=["ncho", "qrm"])
+    def test_count_above_the_truncation_is_a_typed_error(self, solve):
+        params = NchoParams(2.0, 1.0) if solve is ncho_eigs else QrmParams(0.5, 0.7)
+        assert len(solve(params, N=9, count=18, threshold=math.inf).eigenvalues) == 18
+        with pytest.raises(ValueError, match="size of the truncation"):
+            solve(params, N=9, count=19)
 
 
 class TestNchoEigs:
@@ -325,6 +389,48 @@ class TestPartition:
         spec = ncho_eigs(NchoParams(2.0, 1.0), N=128, count=10, threshold=1e-6)
         with pytest.raises(TailDominates):
             partition_from_spectrum(spec, 0.05, tail="QHO_BOUND")
+
+
+# spectra in closed form, as (first, gap, multiplicity) progressions: the
+# oscillator at alpha = beta = a has levels (n + 1/2) sqrt(a^2 - 1), twice;
+# the Rabi model has n -/+ Delta at g = 0 and n - g^2, twice, at Delta = 0
+CLOSED_FORM_SPECTRA = [
+    (lambda: ncho_eigs(NchoParams(SQRT2, SQRT2), N=256, count=40), [(0.5, 1.0, 2)]),
+    (lambda: ncho_eigs(NchoParams(2.0, 2.0), N=256, count=40),
+     [(0.5 * math.sqrt(3.0), math.sqrt(3.0), 2)]),
+    (lambda: qrm_eigs(QrmParams(0.0, 0.3), N=256, count=40), [(-0.3, 1.0, 1), (0.3, 1.0, 1)]),
+    (lambda: qrm_eigs(QrmParams(0.7, 0.0), N=256, count=40), [(-0.49, 1.0, 2)]),
+]
+
+
+class TestHeadErrorInHalfWidth:
+    """The half-widths hold the error the eigenvalues' radii put into the
+    partial sums, so closed forms stay inside with no further slack."""
+
+    @pytest.mark.parametrize("solve,progressions", CLOSED_FORM_SPECTRA,
+                             ids=["ncho-sqrt2", "ncho-2-2", "qrm-g0", "qrm-delta0"])
+    def test_closed_forms_inside(self, solve, progressions):
+        spec = solve()
+        for t in (0.3, 1.0, 2.5):
+            exact = math.fsum(m * math.exp(-t * a) / -math.expm1(-t * d) for a, d, m in progressions)
+            value, half = partition_from_spectrum(spec, t, tail="QHO_BOUND")
+            assert abs(value - exact) <= half, t
+        for s in (2.0, 3.0):
+            exact = math.fsum(
+                m * d**-s * float(specval.hurwitz_zeta_num(s, (a + 1.0) / d)) for a, d, m in progressions
+            )
+            value, half = spectral_zeta_direct(spec, s, 1.0)
+            assert abs(value - exact) <= half, s
+
+    def test_head_error_terms(self):
+        spec = qho_spectrum(4)
+        spec.convergence = [1e-3, 0.0, 2e-3, 0.0]
+        _, half = partition_from_spectrum(spec, 2.0)
+        largest_slopes = 2.0 * (math.exp(-2.0 * (0.5 - 1e-3)) * 1e-3 + math.exp(-2.0 * (2.5 - 2e-3)) * 2e-3)
+        assert largest_slopes <= half <= largest_slopes * math.exp(2.0 * 2e-3)
+        exact_tail = spectral_zeta_direct(qho_spectrum(4), 2.0, 1.0)[1]
+        _, half = spectral_zeta_direct(spec, 2.0, 1.0)
+        assert half - exact_tail == pytest.approx(2.0 * ((1.5 - 1e-3) ** -3 * 1e-3 + (3.5 - 2e-3) ** -3 * 2e-3))
 
 
 class TestQrmPartitionSeries:
