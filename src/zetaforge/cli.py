@@ -143,6 +143,20 @@ def _ncho_params(args, op: str):
     return specval.NchoParams(args.alpha, args.beta)
 
 
+def _spectrum(args, model: str):
+    """The spectrum of ``model`` from the parsed flags: the exact oscillator
+    levels, or the certified lowest eigenvalues of a truncation."""
+    from . import spectra
+
+    if model == "qho":
+        return spectra.qho_spectrum(args.count)
+    if model == "ncho":
+        params, solve = _ncho_params(args, "--model ncho"), spectra.ncho_eigs
+    else:
+        params, solve = spectra.QrmParams(args.g, args.delta, args.eps), spectra.qrm_eigs
+    return solve(params, N=args.n_basis, count=args.count, threshold=args.threshold)
+
+
 def _qho_partition(t: float) -> float:
     """Oscillator partition function Z(t) = e^{-t/2} / (1 - e^{-t})."""
     return math.exp(-t / 2) / -math.expm1(-t)
@@ -305,41 +319,21 @@ def _cmd_special_values(args):
 
 
 def _cmd_ncho_spectrum(args):
-    from . import spectra, specval
+    from . import spectra
 
-    p = specval.NchoParams(args.alpha, args.beta)
-    spec = spectra.ncho_eigs(
-        p, N=args.n_basis, count=args.count, threshold=args.threshold,
-    )
+    spec = _spectrum(args, "ncho")
     ok = spectra.ncho_eigen_bounds_ok(spec)
     return {**_jsonify(spec), "bounds_ok": ok}, ok
 
 
 def _cmd_qrm_spectrum(args):
-    from . import spectra
-
-    q = spectra.QrmParams(args.g, args.delta, args.eps)
-    spec = spectra.qrm_eigs(
-        q, N=args.n_basis, count=args.count, threshold=args.threshold,
-    )
-    return spec, True
+    return _spectrum(args, "qrm"), True
 
 
 def _cmd_partition(args):
     from . import spectra
 
-    if args.model == "qho":
-        spec = spectra.qho_spectrum(args.count)
-    elif args.model == "ncho":
-        spec = spectra.ncho_eigs(
-            _ncho_params(args, "--model ncho"),
-            N=args.n_basis, count=args.count, threshold=args.threshold,
-        )
-    else:
-        spec = spectra.qrm_eigs(
-            spectra.QrmParams(args.g, args.delta, args.eps),
-            N=args.n_basis, count=args.count, threshold=args.threshold,
-        )
+    spec = _spectrum(args, args.model)
     value, half = spectra.partition_from_spectrum(spec, args.t, tail="QHO_BOUND")
     return {
         "op": "partition",
@@ -368,19 +362,13 @@ def _cmd_quasi_partition(args):
 
 
 def _cmd_heat_fit(args):
-    from . import spectra, specval
+    from . import spectra
     from ._np import np
 
-    p = specval.NchoParams(args.alpha, args.beta)
-    spec = spectra.ncho_eigs(
-        p, N=args.n_basis, count=args.count, threshold=args.threshold,
-    )
-    Z = spectra.partition_callable(spec)
+    spec = _spectrum(args, "ncho")
     grid = np.linspace(args.t_min, args.t_max, args.points)
-    fit = spectra.heat_trace_fit(Z, grid, n_odd_terms=args.odd_terms)
-    residue = (args.alpha + args.beta) / math.sqrt(
-        args.alpha * args.beta * (args.alpha * args.beta - 1)
-    )
+    fit = spectra.heat_trace_fit(spectra.partition_callable(spec), grid, n_odd_terms=args.odd_terms)
+    residue = spec.params.residue
     rel_err = abs(fit.c_minus1 - residue) / residue
     return {
         **_jsonify(fit),
@@ -395,30 +383,23 @@ def _cmd_mellin_zeta(args):
     from . import spectra, specval
 
     if args.model == "qho":
+        if 0.5 + args.tau <= 0:
+            raise spectra.NonIntegrable(f"tau = {args.tau} is not above -1/2, minus the ground state")
         val = spectra.spectral_zeta_mellin(_qho_partition, args.s, args.tau)
         ref = float(specval.hurwitz_zeta_num(args.s, 0.5 + args.tau))
     else:
-        # no bias: the small-t model below is the unbiased Rabi-Bernoulli table
-        q = spectra.QrmParams(args.g, args.delta)
-        spec = spectra.qrm_eigs(
-            q, N=args.n_basis, count=args.count, threshold=1e-3,
-        )
-        Z = spectra.partition_callable(spec)
-        rb1 = spectra.rabi_bernoulli_exact(1)
-        rb2 = spectra.rabi_bernoulli_exact(2)
-        g2, d2 = args.g**2, args.delta**2
-
-        def small_t(t):
-            return 2.0 * (
-                1.0 / t
-                - rb1.evaluate_float(0.0, g2, d2)
-                + rb2.evaluate_float(0.0, g2, d2) * t / 2.0
-            )
-
-        val = spectra.spectral_zeta_mellin(
-            Z, args.s, args.tau, small_t_model=small_t, t_cut=0.1
-        )
+        spec = _spectrum(args, "qrm")
+        # before the integral: refuses a tau at which both diverge
         ref, _ = spectra.spectral_zeta_direct(spec, args.s, args.tau)
+        # below t = 0.1, Z(t) ~ 2 (1/t - RB_1(0) + RB_2(0) t/2) from the
+        # unbiased Rabi-Bernoulli table (the parser fixes eps = 0)
+        g2, d2 = args.g**2, args.delta**2
+        rb1, rb2 = (spectra.rabi_bernoulli_exact(k).evaluate_float(0.0, g2, d2) for k in (1, 2))
+        val = spectra.spectral_zeta_mellin(
+            spectra.partition_callable(spec), args.s, args.tau,
+            small_t_model=lambda t: spectra.quasi_partition([-2.0 * rb1, -rb2], 2.0, t),
+            t_cut=0.1,
+        )
     return {
         "op": "mellin_zeta",
         "model": args.model,
@@ -484,12 +465,12 @@ def _cmd_padic_zeta(args):
 # ---------------------------------------------------------------------------
 
 
-def _verify_all(budget: str, seed: int) -> tuple:
+def _cmd_verify_all(args):
     from fractions import Fraction as F
 
     from . import aperynum, exact, padic as padic_mod, resum, series, specval, spectra
 
-    cfg = _BUDGETS[budget]
+    cfg = _BUDGETS[args.budget]
     checks = []
 
     def record(name, ok, **details):
@@ -607,9 +588,7 @@ def _verify_all(budget: str, seed: int) -> tuple:
     target = sorted([n + s * 0.5 for n in range(7) for s in (-1, 1)])[:10]
     ok = max(abs(a - b) for a, b in zip(qd.eigenvalues, target)) < 1e-9
     ok = ok and within_radii(qd, target)
-    res = spectra.qrm_partition_series(
-        spectra.QrmParams(0.3, 0.0), 1.0, lam_max=2, budget=1000, seed=seed
-    )
+    res = spectra.qrm_partition_series(spectra.QrmParams(0.3, 0.0), 1.0, lam_max=2)
     spec_d0 = spectra.qrm_eigs(spectra.QrmParams(0.3, 0.0), N=cfg["qrm_N"], count=40)
     z_d0, _ = spectra.partition_from_spectrum(spec_d0, 1.0, tail="QHO_BOUND")
     ok = ok and abs(res.value - z_d0) < 1e-8
@@ -647,17 +626,12 @@ def _verify_all(budget: str, seed: int) -> tuple:
     all_ok = all(c["ok"] for c in checks)
     report = {
         "op": "verify-all",
-        "budget": budget,
-        "seed": seed,
+        "budget": args.budget,
         "all_ok": all_ok,
         "checks": checks,
         "failures": [c["name"] for c in checks if not c["ok"]],
     }
     return report, all_ok
-
-
-def _cmd_verify_all(args):
-    return _verify_all(args.budget, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +782,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--n-basis", type=int, help=_N_BASIS_HELP, default=768)
     p.add_argument("--count", type=int, default=380)
-    p.set_defaults(handler=_cmd_mellin_zeta)
+    # not flags: the small-t model is the unbiased Rabi-Bernoulli table, so
+    # eps is 0; the Rabi solve runs at a threshold of 1e-3
+    p.set_defaults(handler=_cmd_mellin_zeta, eps=0.0, threshold=1e-3)
 
     p = add_parser("borel", help="Borel sums of the divergent expansions")
     p.add_argument("--n", type=int, default=2)
@@ -848,7 +824,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         report, ok = args.handler(args)
-    except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Uncertified as exc:

@@ -23,11 +23,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
+    DenominatorNotInvertible,
     _fps_coeff,
     _is_odd_prime,
     bernoulli_number,
     bernoulli_poly,
     padic_valuation,
+    rational_mod_prime_power,
 )
 
 __all__ = [
@@ -414,14 +416,17 @@ def padic_divergence_report(n: int, tau, p: int, K: int) -> dict:
     for k in range(K + 1):
         term = _fps_coeff(k, n) / tau_rat ** (k + n - 1)
         acc += term
+        try:
+            residue = rational_mod_prime_power(acc, p, 4)
+        except DenominatorNotInvertible:  # p divides the denominator
+            residue = None
         rows.append(
             {
                 "k": k,
                 "term_valuation": None if term == 0 else padic_valuation(term, p),
-                "partial_sum_mod_p4": None,
+                "partial_sum_mod_p4": residue,
             }
         )
-        rows[-1]["partial_sum_mod_p4"] = _residue_or_none(acc, p, 4)
     total = Padic.from_rational(acc, p, prec)
     # the K-term partial sum is certified modulo p^((K+n) a - 1):
     # term_k has valuation >= (k+n-1) a + v(B_k) >= (k+n-1) a - 1
@@ -446,12 +451,6 @@ def padic_divergence_report(n: int, tau, p: int, K: int) -> dict:
         ),
         "stabilization_index_mod_p4": _stabilization_index(rows),
     }
-
-
-def _residue_or_none(x: Fraction, p: int, e: int) -> Optional[int]:
-    if x.denominator % p == 0:
-        return None
-    return (x.numerator * pow(x.denominator, -1, p**e)) % p**e
 
 
 def _stabilization_index(rows: list) -> Optional[int]:

@@ -106,7 +106,7 @@ class FitUnstable(Uncertified):
 
 
 class NonIntegrable(ValueError):
-    """Mellin integrand is not integrable for the requested (s, tau)."""
+    """The spectral zeta sum or Mellin integral diverges at (s, tau)."""
 
 
 class UnsupportedIndex(ValueError):
@@ -673,36 +673,27 @@ def qho_spectrum(count: int) -> SpectrumResult:
     )
 
 
-def _ncho_slope_bounds(params: NchoParams) -> Tuple[float, float]:
-    f = math.sqrt(1.0 - 1.0 / (params.alpha * params.beta))
-    return (
-        min(params.alpha, params.beta) * f,
-        max(params.alpha, params.beta) * f,
-    )
-
-
 def ncho_eigen_bounds_ok(spec: SpectrumResult, slack: float = 1e-9) -> bool:
-    """Two-sided pair bounds: (j - 1/2) a_min <= l_{2j-1} <= l_{2j} <=
-    (j - 1/2) a_max with a_{min,max} = min/max(alpha,beta) sqrt(1 - 1/ab)."""
-    lo, hi = _ncho_slope_bounds(spec.params)
-    ev = spec.eigenvalues
-    for j in range(1, len(ev) // 2 + 1):
-        lam1, lam2 = ev[2 * j - 2], ev[2 * j - 1]
-        b_lo, b_hi = (j - 0.5) * lo, (j - 0.5) * hi
-        if not (b_lo - slack <= lam1 <= lam2 <= b_hi + slack):
-            return False
-    return True
+    """Whether each oscillator eigenvalue pair lies, in order, within the
+    pair bounds of ``_pair_bounds`` widened by ``slack``."""
+    n = len(spec.eigenvalues) // 2
+    (lo, _), (hi, _) = _pair_bounds("ncho", spec.params, np.arange(n))
+    first, second = np.asarray(spec.eigenvalues[: 2 * n]).reshape(n, 2).T
+    return bool(np.all((lo - slack <= first) & (first <= second) & (second <= hi + slack)))
 
 
 def _pair_bounds(model: str, params, j):
     """((lower, step), (upper, step)): bounds on the untruncated model's
     eigenvalue pair j (eigenvalues 2j and 2j + 1, counted from 0), each with
-    its step from one pair to the next.  The oscillator's are the pair
-    bounds above; pair j of the Rabi model's a+a + g (a + a+) sx sits at
-    j - g^2, and the remaining terms have norm at most Delta + |eps|.  Every
-    truncation's pair j lies above the lower bound (interlacing)."""
+    its step from one pair to the next; the one definition of both models'
+    pair bounds.  The oscillator's pair j lies in [(j + 1/2) a_min,
+    (j + 1/2) a_max] with a_{min,max} = min/max(alpha, beta) sqrt(1 - 1/ab);
+    pair j of the Rabi model's a+a + g (a + a+) sx sits at j - g^2, and the
+    remaining terms have norm at most Delta + |eps|.  Every truncation's
+    pair j lies above the lower bound (interlacing)."""
     if model == "ncho":
-        lo, hi = _ncho_slope_bounds(params)
+        f = math.sqrt(1.0 - 1.0 / (params.alpha * params.beta))
+        lo, hi = min(params.alpha, params.beta) * f, max(params.alpha, params.beta) * f
         return (lo * (j + 0.5), lo), (hi * (j + 0.5), hi)
     g2, d = params.g ** 2, params.delta + abs(params.eps)
     return (j - g2 - d, 1.0), (j - g2 + d, 1.0)
@@ -893,6 +884,16 @@ def qrm_partition_series(
 # ---------------------------------------------------------------------------
 
 
+def _lstsq(A: np.ndarray, y: np.ndarray, limit: float, error: type) -> tuple:
+    """Least-squares coefficients of A c ~ y and the RMS of the residual;
+    raises ``error`` when the condition number of A exceeds ``limit``."""
+    cond = np.linalg.cond(A)
+    if cond > limit:
+        raise error(f"design matrix condition number {cond:.3e} exceeds {limit:.0e}")
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    return coef, float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+
+
 def heat_trace_fit(
     Z: Callable[[float], float],
     t_grid: Sequence[float],
@@ -913,19 +914,10 @@ def heat_trace_fit(
         raise ValueError("t_grid must lie in (0, 1]")
     z = np.array([Z(x) for x in t])
     cols = [1.0 / t] + [t ** (2 * j - 1) for j in range(1, n_odd_terms + 1)]
-    labels = ["c-1"] + [f"C{j}" for j in range(1, n_odd_terms + 1)]
     if include_even:
         cols += [t ** (2 * j) for j in range(0, n_odd_terms)]
-        labels += [f"E{j}" for j in range(0, n_odd_terms)]
-    A = np.stack(cols, axis=1)
     w = 1.0 / z
-    Aw = A * w[:, None]
-    zw = z * w
-    cond = np.linalg.cond(Aw)
-    if cond > 1e12:
-        raise IllConditioned(f"design matrix condition number {cond:.3e}")
-    coef, _, _, _ = np.linalg.lstsq(Aw, zw, rcond=None)
-    resid = float(np.sqrt(np.mean((Aw @ coef - zw) ** 2)))
+    coef, resid = _lstsq(np.stack(cols, axis=1) * w[:, None], z * w, 1e12, IllConditioned)
     odd = [float(c) for c in coef[1 : n_odd_terms + 1]]
     even = [float(c) for c in coef[n_odd_terms + 1 :]] if include_even else None
     return HeatTraceFit(
@@ -939,7 +931,9 @@ def heat_trace_fit(
 
 def quasi_partition(values: Sequence, residue: float, t: float) -> float:
     """sum_{k<=K} (-1)^k zeta_H(-k) t^k / k! + residue / t, with the
-    caller-provided special values zeta_H(-k), k = 0..K."""
+    caller-provided special values zeta_H(-k), k = 0..K.  The Rabi model's
+    small-t model in ``mellin-zeta``, 2 (1/t - RB_1(0) + RB_2(0) t/2), is
+    this series with residue 2 and values [-2 RB_1(0), -RB_2(0)]."""
     if t <= 0:
         raise ValueError("t must be positive")
     acc = [residue / t]
@@ -967,11 +961,12 @@ def spectral_zeta_mellin(
     """zeta_H(s; tau) = (1/Gamma(s)) int_0^inf t^{s-1} Z(t) e^{-t tau} dt.
 
     The integral is split at t = 1 with the upper half mapped to a finite
-    interval.  When a small-t model is supplied (e.g. the residue term plus
-    fitted odd powers), it replaces Z below ``t_cut``, which keeps spectra
-    with finitely many computed eigenvalues honest near t = 0.  The model
-    makes the integrand jump at ``t_cut``, so the half that holds the jump is
-    integrated on each side of its image separately.
+    interval.  When a small-t model is supplied (``mellin-zeta`` passes the
+    Rabi quasi-partition series, built by ``quasi_partition``), it replaces
+    Z below ``t_cut``, which keeps spectra with finitely many computed
+    eigenvalues honest near t = 0.  The model makes the integrand jump at
+    ``t_cut``, so the half that holds the jump is integrated on each side of
+    its image separately.
     """
     if s <= 1:
         raise NonIntegrable("need Re s > 1 for the Mellin integral")
@@ -1020,7 +1015,7 @@ def spectral_zeta_weyl(spec: SpectrumResult, s: float, tau: float) -> float:
     the Weyl-law continuum at the exact residue density.
 
     For the matrix-oscillator model the eigenvalue counting function grows
-    like c_{-1} * lambda with c_{-1} = (alpha+beta)/sqrt(ab(ab-1)) (a proved
+    like c_{-1} * lambda with c_{-1} = ``NchoParams.residue`` (a proved
     residue, not a fit), so the tail is c_{-1}/((s-1)(L+tau)^{s-1}) with L
     half a mean spacing past the last computed eigenvalue.  The error is set
     by local counting fluctuations, O((L+tau)^{-s}); this is an estimate,
@@ -1029,10 +1024,7 @@ def spectral_zeta_weyl(spec: SpectrumResult, s: float, tau: float) -> float:
     if spec.model != "ncho":
         raise ValueError("Weyl completion implemented for the ncho model")
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
-    p = spec.params
-    density = (p.alpha + p.beta) / math.sqrt(
-        p.alpha * p.beta * (p.alpha * p.beta - 1.0)
-    )
+    density = spec.params.residue
     L = spec.eigenvalues[-1] + 0.5 / density
     return head + density / ((s - 1.0) * (L + tau) ** (s - 1.0))
 
@@ -1043,10 +1035,15 @@ def spectral_zeta_direct(
     """sum_j (lambda_j + tau)^{-s} over the computed spectrum plus the
     two-sided tail bracket; returns (midpoint, half_width).  The half-width
     also holds the partial sum's error from the eigenvalues' radii r_j,
-    sum_j s (lambda_j - r_j + tau)^{-s-1} r_j."""
+    sum_j s (lambda_j - r_j + tau)^{-s-1} r_j.  Raises NonIntegrable unless
+    every lambda_j - r_j + tau > 0: below that the sum is not real, and the
+    Mellin integral of the same spectrum diverges."""
+    lowest = min((lam - r for lam, r in zip(spec.eigenvalues, spec.convergence)), default=math.inf)
+    if lowest + tau <= 0:
+        raise NonIntegrable(f"tau = {tau} is not above {-lowest}, minus the lowest eigenvalue's lower edge")
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
     error = math.fsum(
-        s * (lam - r + tau) ** (-s - 1.0) * r if lam - r + tau > 0 else math.inf
+        s * (lam - r + tau) ** (-s - 1.0) * r
         for lam, r in zip(spec.eigenvalues, spec.convergence)
         if r
     )
@@ -1128,11 +1125,7 @@ def rabi_bernoulli_numeric(
     y = np.array([0.5 * x * Z(x) * math.exp(-tau * x) for x in t])
     scale = float(np.max(t))
     A = np.stack([(t / scale) ** j for j in range(deg + 1)], axis=1)
-    cond = np.linalg.cond(A)
-    if cond > 1e10:
-        raise FitUnstable(f"Vandermonde condition number {cond:.3e}")
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+    coef, resid = _lstsq(A, y, 1e10, FitUnstable)
     ck = coef[k] / scale**k
     est = (-1.0) ** k * math.factorial(k) * float(ck)
     # crude sensitivity: redo the fit dropping the last grid point

@@ -52,7 +52,11 @@ class UnsupportedIndexPair(ValueError):
 
 @dataclass(frozen=True)
 class NchoParams:
-    """Model parameters: alpha, beta > 0 with alpha*beta > 1."""
+    """Model parameters: alpha, beta > 0 with alpha*beta > 1.
+
+    ``residue`` is the one definition of c_{-1}, the residue of zeta_Q at
+    s = 1 and the Weyl density of the spectrum; ``spectra._pair_bounds``
+    holds the pair bounds."""
 
     alpha: float
     beta: float
@@ -66,6 +70,12 @@ class NchoParams:
     @property
     def kappa(self) -> float:
         return 1.0 / math.sqrt(self.alpha * self.beta - 1.0)
+
+    @property
+    def residue(self) -> float:
+        """c_{-1} = (alpha + beta) / sqrt(alpha beta (alpha beta - 1))."""
+        ab = self.alpha * self.beta
+        return (self.alpha + self.beta) / math.sqrt(ab * (ab - 1.0))
 
     def swap(self) -> "NchoParams":
         return NchoParams(self.beta, self.alpha)
@@ -344,7 +354,7 @@ def zetaQ_special(
     """Assembled special value
 
     zeta_Q(k) = 2 c^k ( zeta(k,1/2) + sum_{0<2j<=k} r^{2j} R_{k,j}(kappa) ),
-    c = (alpha+beta)/(2 sqrt(alpha beta (alpha beta - 1))), r = (a-b)/(a+b).
+    c = c_{-1}/2 (``NchoParams.residue``), r = (a-b)/(a+b).
 
     The R terms use quadrature (the series route needs kappa < 1, which the
     admissible parameter range does not guarantee).  Their weighted errors
@@ -356,7 +366,7 @@ def zetaQ_special(
         raise UnsupportedIndexPair("assembled values available for k in 2..4")
     _check_method(method)
     a, b = params.alpha, params.beta
-    c = (a + b) / (2.0 * math.sqrt(a * b * (a * b - 1.0)))
+    c = params.residue / 2.0
     r2 = ((a - b) / (a + b)) ** 2
     total = _hz_half(k)
     errs = []
@@ -381,11 +391,11 @@ def zetaQ_special(
 def zetaQ2_closed(params: NchoParams) -> float:
     """Closed form of zeta_Q(2):
 
-    (pi (a+b) / (2 sqrt(ab(ab-1))))^2 (1 + ((a-b)/(a+b))^2 F(-kappa^2)^2)
-    with F = 2F1(1/4, 3/4; 1; .).
+    (pi c_{-1} / 2)^2 (1 + ((a-b)/(a+b))^2 F(-kappa^2)^2)
+    with c_{-1} = ``NchoParams.residue`` and F = 2F1(1/4, 3/4; 1; .).
     """
     a, b = params.alpha, params.beta
-    pref = (math.pi * (a + b) / (2.0 * math.sqrt(a * b * (a * b - 1.0)))) ** 2
+    pref = (math.pi * params.residue / 2.0) ** 2
     r2 = ((a - b) / (a + b)) ** 2
     if r2 == 0:
         return pref

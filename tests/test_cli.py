@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import pathlib
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from zetaforge import aperynum, cli, specval
+from zetaforge import aperynum, cli, spectra, specval
 
 
 def run_cli(*argv):
@@ -265,6 +266,16 @@ class TestExitCodes:
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
             (["divergence", "--n", "2", "--tau", "0"], "--tau"),
             (["padic-zeta", "--p", "5", "--s", "2", "--tau", "1/0"], "--tau"),
+            # tau at or below minus the lowest eigenvalue, where the Mellin
+            # integral diverges: at lambda_0 = -1.361 this printed 3.3e+28
+            # and exited 0, or raised an uncaught TypeError on a complex
+            # direct sum; at lambda_0 = 1/2 it reported "math range error"
+            (["mellin-zeta", "--model", "qrm", "--g", "0.7", "--delta", "1.2", "--s", "2",
+              "--tau", "1.0"], "tau = 1.0"),
+            (["mellin-zeta", "--model", "qrm", "--g", "0.7", "--delta", "1.2", "--s", "2.5",
+              "--tau", "0.5"], "tau = 0.5"),
+            (["mellin-zeta", "--model", "qho", "--s", "2", "--tau", "-0.7"], "tau = -0.7"),
+            (["mellin-zeta", "--model", "qho", "--s", "2", "--tau", "-0.5"], "tau = -0.5"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -274,7 +285,8 @@ class TestExitCodes:
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
             "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
-            "padic-tau-zero-den",
+            "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
+            "mellin-qho-tau-below", "mellin-qho-tau-at",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):
@@ -335,6 +347,82 @@ class TestSpectrumCommands:
         rep = json.loads(out)
         assert abs(rep["value"] - math.exp(-0.5) / (1 - math.exp(-1))) < 1e-12
 
+    def test_heat_fit_compares_with_the_residue(self):
+        code, out = run_cli(
+            "--no-meta", "heat-fit", "--alpha", "2.5", "--beta", "0.6",
+            "--n-basis", "512", "--count", "120", "--threshold", "1e-6",
+        )
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["residue_formula"] == specval.NchoParams(2.5, 0.6).residue
+
+    def test_mellin_zeta_keeps_its_threshold(self):
+        # the largest radius of this solve lies between the 1e-8 that the
+        # other spectral commands default to and mellin-zeta's fixed 1e-3
+        radii = spectra.qrm_eigs(
+            spectra.QrmParams(0.3, 0.5), N=64, count=100, threshold=1e-3
+        ).convergence
+        assert 1e-8 < max(radii) < 1e-3
+        code, out = run_cli(
+            "--no-meta", "mellin-zeta", "--model", "qrm", "--s", "3", "--tau", "2",
+            "--g", "0.3", "--delta", "0.5", "--n-basis", "64", "--count", "100",
+        )
+        assert code == 0 and json.loads(out)["abs_error"] < 1e-6
+
+
+# (dest, default) of every option of the spectral subcommands; the flags
+# shared by every subcommand, and --help, leave their values to the top level
+_SHARED_OPTIONS = {
+    "--help": ("help", argparse.SUPPRESS),
+    "--format": ("format", argparse.SUPPRESS),
+    "--seed": ("seed", argparse.SUPPRESS),
+    "--no-meta": ("no_meta", argparse.SUPPRESS),
+}
+_SPECTRAL_OPTIONS = {
+    "ncho-spectrum": {
+        "--alpha": ("alpha", None), "--beta": ("beta", None), "--n-basis": ("n_basis", 1024),
+        "--count": ("count", 40), "--threshold": ("threshold", 1e-8),
+    },
+    "qrm-spectrum": {
+        "--g": ("g", None), "--delta": ("delta", None), "--eps": ("eps", 0.0),
+        "--n-basis": ("n_basis", 512), "--count": ("count", 40), "--threshold": ("threshold", 1e-8),
+    },
+    "partition": {
+        "--model": ("model", None), "--t": ("t", None), "--alpha": ("alpha", None),
+        "--beta": ("beta", None), "--g": ("g", 0.0), "--delta": ("delta", 0.0),
+        "--eps": ("eps", 0.0), "--n-basis": ("n_basis", 512), "--count": ("count", 100),
+        "--threshold": ("threshold", 1e-6),
+    },
+    "heat-fit": {
+        "--alpha": ("alpha", None), "--beta": ("beta", None), "--t-min": ("t_min", 0.15),
+        "--t-max": ("t_max", 1.0), "--points": ("points", 20), "--odd-terms": ("odd_terms", 3),
+        "--n-basis": ("n_basis", 1024), "--count": ("count", 200), "--threshold": ("threshold", 1e-5),
+    },
+    "mellin-zeta": {
+        "--model": ("model", None), "--s": ("s", None), "--tau": ("tau", None),
+        "--g": ("g", 0.0), "--delta": ("delta", 0.0), "--n-basis": ("n_basis", 768),
+        "--count": ("count", 380),
+    },
+}
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestSpectralOptions:
+    @pytest.mark.parametrize("name", sorted(_SPECTRAL_OPTIONS))
+    def test_options_and_defaults(self, name):
+        found = {a.option_strings[-1]: (a.dest, a.default) for a in _subparser(name)._actions}
+        assert found == {**_SHARED_OPTIONS, **_SPECTRAL_OPTIONS[name]}
+
+    def test_mellin_zeta_fixes_bias_and_threshold(self):
+        # no flag sets these; the solve reads them like the other commands'
+        args = cli._build_parser().parse_args(["mellin-zeta", "--model", "qrm", "--s", "3", "--tau", "2"])
+        assert (args.eps, args.threshold) == (0.0, 1e-3)
+
 
 class TestReadme:
     def test_cli_examples_exit_zero(self):
@@ -370,6 +458,7 @@ class TestVerifyAllQuick:
         rep = json.loads(out)
         assert code == 0
         assert rep["all_ok"] and rep["failures"] == []
+        assert "seed" not in rep  # verify-all draws no random numbers
 
     def test_entry_point_subprocess(self):
         res = subprocess.run(

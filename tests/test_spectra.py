@@ -17,7 +17,9 @@ from zetaforge import spectra, specval
 from zetaforge.exact import bernoulli_poly
 from zetaforge.spectra import (
     FitUnstable,
+    IllConditioned,
     NchoParams,
+    NonIntegrable,
     NotConverged,
     QrmParams,
     TailDominates,
@@ -237,6 +239,29 @@ AGREEMENT_MODELS = [
 ]
 
 
+class TestPairBoundsCheck:
+    """``ncho_eigen_bounds_ok`` reads ``_pair_bounds``: pair j (eigenvalues
+    2j and 2j + 1, from 0) lies in [(j + 1/2) a_min, (j + 1/2) a_max]."""
+
+    PARAMS = NchoParams(2.2, 1.3)
+    SLACK = 1e-6
+
+    @pytest.mark.parametrize("index", [0, 1, 6, 9])
+    @pytest.mark.parametrize("past", [0.5, 2.0])
+    def test_flips_past_the_slack(self, index, past):
+        p = self.PARAMS
+        f = math.sqrt(1.0 - 1.0 / (p.alpha * p.beta))
+        a_min, a_max = min(p.alpha, p.beta) * f, max(p.alpha, p.beta) * f
+        eigs = [(j + 0.5) * 0.5 * (a_min + a_max) for j in range(5) for _ in (0, 1)]
+        j = index // 2
+        # the first of a pair moves below its lower edge, the second above its upper
+        eigs[index] = (j + 0.5) * a_min - past * self.SLACK if index % 2 == 0 else (
+            (j + 0.5) * a_max + past * self.SLACK
+        )
+        spec = spectra.SpectrumResult(eigs, "ncho", p, 5, [0.0] * 10, 5, True)
+        assert ncho_eigen_bounds_ok(spec, slack=self.SLACK) == (past < 1.0)
+
+
 class TestCertifiedSolve:
     """The solvers certify a leading section; their values must be the N
     truncation's own lowest eigenvalues, each within its radius."""
@@ -433,6 +458,21 @@ class TestHeadErrorInHalfWidth:
         assert half - exact_tail == pytest.approx(2.0 * ((1.5 - 1e-3) ** -3 * 1e-3 + (3.5 - 2e-3) ** -3 * 2e-3))
 
 
+class TestShiftBelowGroundState:
+    """The zeta sum, like the Mellin integral, needs every lambda - r + tau > 0."""
+
+    def test_direct_sum_refuses(self):
+        spec = qrm_eigs(QrmParams(0.7, 1.2), N=128, count=40)
+        edge = spec.eigenvalues[0] - spec.convergence[0]  # about -1.361
+        # (2.5, 0.5) raised an untyped TypeError on a complex sum; (2, 1)
+        # returned a real value although lambda_0 + tau < 0
+        for s, tau in ((2.5, 0.5), (2.0, 1.0), (2.0, -edge)):
+            with pytest.raises(NonIntegrable):
+                spectral_zeta_direct(spec, s, tau)
+        value, half = spectral_zeta_direct(spec, 2.0, 0.1 - edge)
+        assert math.isfinite(value) and math.isfinite(half)
+
+
 class TestQrmPartitionSeries:
     def test_delta_zero_exact(self):
         q = QrmParams(0.3, 0.0)
@@ -479,6 +519,10 @@ class TestHeatTraceFit:
             qho_partition, np.linspace(0.05, 1.0, 30), n_odd_terms=4, include_even=True
         )
         assert all(abs(c) < 1e-6 for c in fit.even_coeffs)
+
+    def test_rank_deficient_grid_is_ill_conditioned(self):
+        with pytest.raises(IllConditioned, match="exceeds 1e\\+12"):
+            heat_trace_fit(qho_partition, [0.5] * 10)
 
     def test_ncho_residue_sqrt2(self):
         spec = ncho_eigs(NchoParams(SQRT2, SQRT2), N=512, count=120, threshold=1e-6)

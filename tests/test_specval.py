@@ -274,6 +274,13 @@ class TestZetaQ:
         assert abs(res.value - PI**2) < 1e-12  # r = 0: no quadrature needed
         assert abs(zetaQ2_closed(p) - PI**2) < 1e-12
 
+    def test_residue(self):
+        # c_{-1} = 2 / sqrt(a^2 - 1) at alpha = beta = a: 2 at sqrt 2, up to
+        # the rounding of sqrt 2 itself (its square is 2 + 4.4e-16)
+        assert NchoParams(math.sqrt(2), math.sqrt(2)).residue == pytest.approx(2.0, rel=4 * 2.0**-52)
+        # every step is exact at (3/2, 3/4): alpha beta = 9/8, and the root is 3/8
+        assert NchoParams(1.5, 0.75).residue == NchoParams(0.75, 1.5).residue == 6.0
+
     def test_general_equal_parameters(self):
         for a in (1.3, 2.0, 3.5):
             p = NchoParams(a, a)
