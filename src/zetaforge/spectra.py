@@ -33,8 +33,10 @@ The LAPACK routines come from scipy's f2py wrappers, the module behind
 so that no process pays for importing ``scipy.linalg``: bisection and
 inverse iteration (``dstebz``, ``dstein``) for the chains, and banded
 bisection (``dsbevx``) with banded LU (``dgbtrf``, ``dgbtrs``) for the
-biased band.  The dense ``*_truncated_matrix`` builders are the small-N test
-reference.
+biased band.  A section below N that is small against ``count`` takes all
+its values from one root-free QR pass instead (``dsterf`` on each chain
+block, ``dsbev`` on the band).  The dense ``*_truncated_matrix`` builders
+are the small-N test reference.
 """
 
 from __future__ import annotations
@@ -298,6 +300,15 @@ _EPS = float(np.finfo(float).eps)
 # larger temporaries are fresh allocations, whose page faults can cost more
 # than the arithmetic on them
 _VECTOR_BLOCK = 1 << 13
+# a section below N takes its values from one QR pass when it has at most
+# this many rows per wanted value, else from bisection.  QR time over
+# bisection time for the values alone (scipy 1.17's LAPACK on a shared
+# 2-vCPU Xeon), at 20 to 160 values on NCHO and Rabi chains and the
+# biased band: 0.21-0.84 at 4 rows a value, 0.72-1.06 at 16, 0.99-1.37 at
+# 24; chains of 1024 rows with 40 values take 3.8-7.8 ms by dstebz and
+# 5.3-9.6 ms by dsterf.  Below 20 values QR can take up to 3.5 times as
+# long on chains, but either route then takes only tens of microseconds.
+_QR_ROWS = 16
 
 
 def _check_info(info: int, name: str) -> None:
@@ -344,22 +355,52 @@ def _chunks(select: np.ndarray, n: int) -> list:
     return [select[i : i + step] for i in range(0, len(select), step)]
 
 
-def _chain_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
-    """Eigenvalues il..iu of a union of tridiagonal chains by bisection
-    (``dstebz``, grouped by split-off block), the first row of each one's
+def _split_ends(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """End (exclusive) of each split-off block of a tridiagonal matrix, by
+    ``dstebz``'s own test: it splits after row j where e_j^2 <= |d_j d_{j+1}|
+    eps^2 + safe_min, so both routes of ``_chain_pairs`` see the same blocks."""
+    split = np.flatnonzero(np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFE_MIN > e * e) + 1
+    return np.append(split, len(d))
+
+
+def _chain_pairs(band: np.ndarray, il: int, iu: int, qr: bool = False) -> tuple:
+    """Eigenvalues il..iu of a union of tridiagonal chains, grouped by
+    split-off block and ascending within each, the first row of each one's
     block, and a function that yields the eigenvectors of a selection of
-    them by inverse iteration (``dstein``), a block of vectors at a time, one
-    vector per row.  The tolerance is LAPACK's default, eps ||T||: the
-    residuals hold the values' error."""
+    them by inverse iteration (``dstein``, which wants that grouping), a
+    block of vectors at a time, one vector per row.
+
+    The values come from bisection (``dstebz``), about 53 Sturm sweeps per
+    value at LAPACK's default tolerance, eps ||T||; or, with ``qr``, from
+    root-free QR (``dsterf``, Pal-Walker-Kahan) on each block of more than
+    one row, which returns every value of a block in O(n^2) flops, a block
+    of one row being its diagonal entry.  Either way the residuals hold the
+    values' error."""
     d, e = band[0], band[1, :-1]
-    found, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
-    _check_info(info, "dstebz")
-    w, blocks = w[:found], iblock[:found]
+    if qr:
+        ends = _split_ends(d, e)
+        starts = np.concatenate(([0], ends[:-1]))
+        values = d.copy()
+        big = ends - starts > 1
+        for s, t in zip(starts[big].tolist(), ends[big].tolist()):
+            # on copies: the band stays as it is
+            values[s:t], info = _flapack.dsterf(d[s:t], e[s : t - 1], overwrite_d=0, overwrite_e=0)
+            _check_info(info, "dsterf")
+        # each block's values are ascending in its own rows: the rows of the
+        # lowest values, in row order, are grouped as dstein wants
+        rows = np.sort(np.argsort(values, kind="stable")[il - 1 : iu])
+        w, blocks = values[rows], np.searchsorted(ends, rows, side="right") + 1
+        isplit = np.zeros(len(d), dtype=np.int32)  # dstein wants it of length n
+        isplit[: len(ends)] = ends
+    else:
+        found, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
+        _check_info(info, "dstebz")
+        w, blocks = w[:found], iblock[:found]
     firsts = np.concatenate(([0], isplit))[blocks - 1]
 
     def vectors(select: np.ndarray):
         for part in _chunks(select, len(d)):
-            ib = iblock.copy()  # dstein reads the first len(part) entries of n
+            ib = np.zeros(len(d), dtype=np.int32)  # dstein reads the first len(part) of n
             ib[: len(part)] = blocks[part]
             z, info = _flapack.dstein(d, e, w[part], ib, isplit)
             # info > 0 counts vectors that missed dstein's own test; their
@@ -370,14 +411,22 @@ def _chain_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
     return w, firsts, vectors
 
 
-def _band_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
-    """Eigenvalues il..iu of a band by ``dsbevx``, the first row of each
-    one's block (0: the band is one block), and a function that yields the
-    eigenvectors of a selection of them, a block at a time, one vector per
-    row: two steps of inverse iteration on the band's LU factors
-    (``dgbtrf``, ``dgbtrs``).  ``dsbevx`` itself would form a dense n x n
-    transformation for them."""
-    w = _band_eigenvalues(band, il, iu)
+def _band_pairs(band: np.ndarray, il: int, iu: int, qr: bool = False) -> tuple:
+    """Eigenvalues il..iu of a band, the first row of each one's block (0:
+    the band is one block), and a function that yields the eigenvectors of
+    a selection of them, a block at a time, one vector per row: two steps
+    of inverse iteration on the band's LU factors (``dgbtrf``, ``dgbtrs``).
+    ``dsbevx`` itself would form a dense n x n transformation for them.
+
+    The values come from banded bisection (``dsbevx``); or, with ``qr``,
+    from ``dsbev`` without vectors, which reduces the band to tridiagonal
+    form and takes every eigenvalue by root-free QR in O(n^2) flops."""
+    if qr:
+        w, _, info = _flapack.dsbev(band, compute_v=0, lower=1, overwrite_ab=0)
+        _check_info(info, "dsbev")
+        w = w[il - 1 : iu]
+    else:
+        w = _band_eigenvalues(band, il, iu)
     kd, n = band.shape[0] - 1, band.shape[1]
     ab = np.zeros((3 * kd + 1, n))  # general band storage; the top kd rows take the fill-in
     ab[2 * kd] = band[0]
@@ -410,20 +459,38 @@ def _band_pairs(band: np.ndarray, il: int, iu: int) -> tuple:
     return w, np.zeros(len(w), dtype=int), vectors
 
 
-def _extend(blocks: list, deep: list) -> tuple:
-    """The section's blocks, each with the rows past its cut that couple to
-    it, read from the deeper truncation ``deep`` and laid side by side; and
-    (start among them, start in the section, size) of each block's own
-    rows.  A section eigenvector padded with zeros on the added rows has
-    there the residual of every deeper truncation: the coupling to the next
-    rung."""
+def _cut(block: np.ndarray, size: int) -> np.ndarray:
+    """A copy of the leading ``size`` rows of a block in lower band storage,
+    with the slots that would couple past them zeroed."""
+    out = block[:, :size].copy()
+    for i in range(1, out.shape[0]):
+        out[i, -i:] = 0.0
+    return out
+
+
+def _section_widths(model: str, params, M: int) -> list:
+    """Rows that the levels n < M fill in each sector block, in the order
+    ``_ncho_sectors`` and ``_qrm_sectors`` return them: the oscillator's
+    chains from n0 = 0, 0, 1, 1 hold the levels n0, n0 + 2, ..., the Rabi
+    chains every level, and the biased band two rows a level.  Every
+    block's rows run up the levels, so the leading section of a deeper
+    truncation is its blocks ``_cut`` to these widths."""
+    if model == "ncho":
+        return [(M + 1 - n0) // 2 for n0 in (0, 0, 1, 1)]
+    return [M, M] if params.eps == 0.0 else [2 * M]
+
+
+def _extend(widths: list, deep: list) -> tuple:
+    """The section's blocks, of the given widths, each with the rows past
+    its cut that couple to it, read from the deeper truncation ``deep`` and
+    laid side by side; and (start among them, start in the section, size)
+    of each block's own rows.  A section eigenvector padded with zeros on
+    the added rows has there the residual of every deeper truncation: the
+    coupling to the next rung."""
     out, spans, start, own = [], [], 0, 0
-    for block, full in zip(blocks, deep):
-        kd, size = block.shape[0] - 1, block.shape[1]
-        ext = full[:, : size + kd].copy()
-        for i in range(1, kd + 1):
-            ext[i, -i:] = 0.0  # nothing couples past the added rows
-        out.append(ext)
+    for size, full in zip(widths, deep):
+        kd = full.shape[0] - 1
+        out.append(_cut(full, size + kd))  # nothing couples past the added rows
         spans.append((start, own, size))
         start, own = start + size + kd, own + size
     return np.concatenate(out, axis=1), spans
@@ -561,7 +628,16 @@ def _sections(N: int, count: int) -> list:
 def _solve(model: str, params, sectors: Callable, N: int, count: int,
            threshold: float) -> SpectrumResult:
     """Certify the lowest ``count`` eigenvalues of the N truncation on the
-    smallest leading section that converges, and wrap the result."""
+    smallest leading section that converges, and wrap the result.
+
+    The 2N truncation is built once; each section's blocks are cut from it.
+    A section below N is screened by its highest wanted value alone, one
+    bisection and one vector.  One that passes takes all its values from a
+    single QR pass (``qr`` in ``_chain_pairs`` and ``_band_pairs``) when it
+    has at most ``_QR_ROWS`` rows per wanted value, else from bisection.
+    The whole truncation always bisects: on the biased band its values are
+    the bits of the ``_lowest`` reference.  Vectors, residuals and index
+    proofs are the same on either route."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > 2 * N:
@@ -578,9 +654,9 @@ def _solve(model: str, params, sectors: Callable, N: int, count: int,
     # every truncation's k-th eigenvalue from M levels up lies in [lower_k, w_k]
     lower = _pair_bounds(model, params, np.arange(count) // 2)[0][0]
     for M in _sections(N, count):
-        blocks = sectors(params, M)[::copies]
-        band = np.concatenate(blocks, axis=1)
-        ext, spans = _extend(blocks, deep)
+        widths = _section_widths(model, params, M)[::copies]
+        band = np.concatenate([_cut(full, size) for size, full in zip(widths, deep)], axis=1)
+        ext, spans = _extend(widths, deep)
         pairs = _chain_pairs if band.shape[0] == 2 else _band_pairs
         scale = _norm_bound(band)
         rounding_of = lambda w: 8.0 * _EPS * (scale + np.abs(w))  # of a residual at w
@@ -589,7 +665,8 @@ def _solve(model: str, params, sectors: Callable, N: int, count: int,
             w, _, vectors = pairs(band, distinct, distinct)
             if _residuals(ext, spans, w, vectors(np.arange(1)))[0] > rounding_of(w[0]):
                 continue
-        w, firsts, vectors = pairs(band, 1, distinct)
+        qr = M < N and band.shape[1] <= _QR_ROWS * distinct
+        w, firsts, vectors = pairs(band, 1, distinct, qr)
         order = np.argsort(w, kind="stable")
         if M == N:
             # the highest value's radius is at least the smaller of these
@@ -605,7 +682,7 @@ def _solve(model: str, params, sectors: Callable, N: int, count: int,
         rounding = rounding_of(w)
         if M < N and np.any(res > rounding):
             continue
-        owner = np.searchsorted(np.cumsum([b.shape[1] for b in blocks]), firsts[order], side="right")
+        owner = np.searchsorted(np.cumsum(widths), firsts[order], side="right")
         radii = _index_radii(w, res + rounding, owner, below)
         if radii is None and M < N:
             continue
@@ -1010,6 +1087,15 @@ def spectral_zeta_mellin(
     return (low + high) / math.gamma(s)
 
 
+def _check_shift(spec: SpectrumResult, tau: float) -> None:
+    """Raise NonIntegrable unless every lambda_j - r_j + tau > 0: below that
+    a sum of (lambda_j + tau)^{-s} is not real, and the Mellin integral of
+    the same spectrum diverges."""
+    lowest = min((lam - r for lam, r in zip(spec.eigenvalues, spec.convergence)), default=math.inf)
+    if lowest + tau <= 0:
+        raise NonIntegrable(f"tau = {tau} is not above {-lowest}, minus the lowest eigenvalue's lower edge")
+
+
 def spectral_zeta_weyl(spec: SpectrumResult, s: float, tau: float) -> float:
     """sum_j (lambda_j + tau)^{-s} with the not-computed part completed by
     the Weyl-law continuum at the exact residue density.
@@ -1020,9 +1106,11 @@ def spectral_zeta_weyl(spec: SpectrumResult, s: float, tau: float) -> float:
     half a mean spacing past the last computed eigenvalue.  The error is set
     by local counting fluctuations, O((L+tau)^{-s}); this is an estimate,
     not a two-sided bound (use spectral_zeta_direct for the bracket).
+    Raises NonIntegrable as spectral_zeta_direct does.
     """
     if spec.model != "ncho":
         raise ValueError("Weyl completion implemented for the ncho model")
+    _check_shift(spec, tau)
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
     density = spec.params.residue
     L = spec.eigenvalues[-1] + 0.5 / density
@@ -1038,9 +1126,7 @@ def spectral_zeta_direct(
     sum_j s (lambda_j - r_j + tau)^{-s-1} r_j.  Raises NonIntegrable unless
     every lambda_j - r_j + tau > 0: below that the sum is not real, and the
     Mellin integral of the same spectrum diverges."""
-    lowest = min((lam - r for lam, r in zip(spec.eigenvalues, spec.convergence)), default=math.inf)
-    if lowest + tau <= 0:
-        raise NonIntegrable(f"tau = {tau} is not above {-lowest}, minus the lowest eigenvalue's lower edge")
+    _check_shift(spec, tau)
     head = math.fsum((lam + tau) ** (-s) for lam in spec.eigenvalues)
     error = math.fsum(
         s * (lam - r + tau) ** (-s - 1.0) * r

@@ -312,6 +312,107 @@ class TestCertifiedSolve:
             solve(params, N=9, count=19)
 
 
+class _Spy:
+    """Stands in for ``spectra._flapack`` and records each routine fetched."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.module, name)
+
+
+SECTION_MODELS = [
+    ("ncho", NchoParams(2.0, 1.4)),
+    ("ncho", NchoParams(SQRT2, SQRT2)),
+    ("qrm", QrmParams(0.0, 0.5)),
+    ("qrm", QrmParams(0.6, 0.9)),
+    ("qrm", QrmParams(0.6, 0.9, 0.35)),
+]
+
+
+class TestSectionsAndRoutes:
+    """Each section is cut from the one 2N build, and a section below N that
+    is small against ``count`` takes its values from one QR pass."""
+
+    @pytest.mark.parametrize("M", [16, 64, 127, 256])
+    @pytest.mark.parametrize("model,params", SECTION_MODELS)
+    def test_cut_blocks_are_the_sections_own(self, model, params, M):
+        sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
+        deep = sectors(params, 512)
+        kept = [block.copy() for block in deep]
+        cut = [spectra._cut(full, w) for w, full in zip(spectra._section_widths(model, params, M), deep)]
+        own = sectors(params, M)
+        assert len(cut) == len(own)
+        for a, b in zip(cut, own):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(deep, kept))
+
+    @pytest.mark.parametrize(
+        "solve,params,routine",
+        [(ncho_eigs, NchoParams(2.0, 1.4), "dsterf"), (qrm_eigs, QrmParams(0.6, 0.9, 0.35), "dsbev")],
+        ids=["ncho", "biased"],
+    )
+    def test_accepted_section_takes_one_qr_pass(self, monkeypatch, solve, params, routine):
+        spy = _Spy(spectra._flapack)
+        monkeypatch.setattr(spectra, "_flapack", spy)
+        spec = solve(params, N=1024, count=40)
+        assert spec.section_N < 1024 and spec.index_proved
+        assert routine in spy.calls
+        if routine == "dsbev":
+            # every other banded bisection is a single-index screen
+            assert spy.calls.count("dsbev") == 1
+            assert spy.calls.count("dsbevx") == int(math.log2(spec.section_N // 64)) + 1
+
+    def test_whole_truncation_bisects(self, monkeypatch):
+        spy = _Spy(spectra._flapack)
+        monkeypatch.setattr(spectra, "_flapack", spy)
+        params = QrmParams(0.0, 0.5, 0.3)
+        spec = qrm_eigs(params, N=33, count=66, threshold=math.inf)
+        assert spec.section_N == 33 and "dsbevx" in spy.calls
+        assert "dsbev" not in spy.calls and "dsterf" not in spy.calls
+        lam = np.array(spec.eigenvalues)
+        assert np.array_equal(lam, spectra._lowest(spectra._qrm_sectors(params, 33), 66))
+
+    def test_qr_values_on_split_rungs(self):
+        # at g = 0 every rung is a block of one row
+        blocks = spectra._qrm_sectors(QrmParams(0.0, 0.7), 64)
+        band = np.concatenate(blocks, axis=1)
+        kept = band.copy()
+        w, firsts, vectors = spectra._chain_pairs(band, 1, 40, qr=True)
+        order = np.argsort(w, kind="stable")
+        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(band)
+        assert np.max(np.abs(w[order] - spectra._lowest(blocks, 40))) <= slack
+        assert np.array_equal(band[0, firsts], w)  # each value is its own row's
+        for part, z in vectors(np.arange(40)):
+            assert np.array_equal(np.abs(z), np.eye(128)[firsts[part]])
+        assert np.array_equal(band, kept)
+
+    @pytest.mark.parametrize("model,params", SECTION_MODELS)
+    def test_routes_agree(self, model, params):
+        sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
+        band = np.concatenate(sectors(params, 64), axis=1)
+        kept = band.copy()
+        pairs = spectra._chain_pairs if band.shape[0] == 2 else spectra._band_pairs
+        w, firsts, vectors = pairs(band, 1, 40, qr=True)
+        w0, firsts0, _ = pairs(band, 1, 40)
+        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(band)
+        assert np.max(np.abs(np.sort(w) - np.sort(w0))) <= slack
+        # the same blocks, up to which of a tie at the top is taken (at g = 0,
+        # Delta = 1/2, level n + 1/2 of one rung is n + 1 - 1/2 of the next)
+        below = lambda values, rows: sorted(rows[values < w0.max() - slack].tolist())
+        assert below(w, firsts) == below(w0, firsts0)
+        # dstein takes the QR route's grouping, and its vectors are the values'
+        dense = np.diag(band[0])
+        for i in range(1, band.shape[0]):
+            dense += np.diag(band[i, :-i], -i) + np.diag(band[i, :-i], i)
+        for part, z in vectors(np.arange(len(w))):
+            r = dense @ z.T - z.T * w[part]
+            assert np.all(np.linalg.norm(r, axis=0) <= slack * np.linalg.norm(z, axis=1))
+        assert np.array_equal(band, kept)
+
+
 class TestNchoEigs:
     def test_equal_parameters_exact_spectrum(self):
         spec = ncho_eigs(NchoParams(SQRT2, SQRT2), N=256, count=20, threshold=1e-8)
@@ -471,6 +572,16 @@ class TestShiftBelowGroundState:
                 spectral_zeta_direct(spec, s, tau)
         value, half = spectral_zeta_direct(spec, 2.0, 0.1 - edge)
         assert math.isfinite(value) and math.isfinite(half)
+
+    def test_weyl_sum_refuses(self):
+        spec = ncho_eigs(NchoParams(2.0, 1.0), N=256, count=40)
+        edge = spec.eigenvalues[0] - spec.convergence[0]  # about 0.367
+        # (2.5, -1) raised an untyped TypeError on a complex sum; (2, -1)
+        # returned 55.5 although lambda_0 + tau < 0
+        for s, tau in ((2.5, -1.0), (2.0, -1.0), (2.0, -edge)):
+            with pytest.raises(NonIntegrable):
+                spectra.spectral_zeta_weyl(spec, s, tau)
+        assert math.isfinite(spectra.spectral_zeta_weyl(spec, 2.0, 0.1 - edge))
 
 
 class TestQrmPartitionSeries:
