@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Tuple
 
-from ._np import np
-
 _BATCH = 1 << 18
 # points per integrand call: a (_CHUNK, 4) block and the integrand's
 # temporaries fit in cache, and an 8 MB batch of 2^18 rows does not
@@ -24,6 +22,8 @@ _CHUNK = 1 << 13
 def philox_rng(op: str, params: tuple, seed: int) -> np.random.Generator:
     """Deterministic generator keyed by (op, params, seed)."""
     import hashlib  # here, not at the top: verify-all draws no random numbers
+
+    from ._np import np
 
     msg = f"{op}|{params!r}|{seed}".encode()
     key = int.from_bytes(hashlib.sha256(msg).digest()[:16], "little")
@@ -47,6 +47,8 @@ def mc_mean(
     Chan, Golub and LeVeque, so a large mean does not cancel the variance
     away.
     """
+    from ._np import np
+
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n_done, mean, m2 = 0, 0.0, 0.0
@@ -75,7 +77,7 @@ def _newton_legendre(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     (j-1) P_{j-2}, and P_n' = n (P_{n-1} - x P_n) / (1 - x^2), where
     1 - x^2 = (1 - x)(1 + x) keeps its precision near x = 1.
     """
-    p0, p1 = np.ones_like(x), x
+    p0, p1 = 1.0, x
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
     one_minus_x2 = (1.0 - x) * (1.0 + x)
@@ -93,6 +95,8 @@ def gauss_legendre_unit(n: int) -> Tuple[np.ndarray, np.ndarray]:
     eigensolver, so it never waits on the first dense eigensolve of numpy's
     BLAS.
     """
+    from ._np import np
+
     if n < 1:
         raise ValueError("need at least one node")
     k = np.arange(1, (n + 1) // 2 + 1)
@@ -121,6 +125,8 @@ def tensor_gauss(
     is weighted with its own dot product and the slabs are summed with
     math.fsum, so the grouping changes no result.  Needs dim >= 2.
     """
+    from ._np import np
+
     x, w = gauss_legendre_unit(nodes_per_axis)
     wflat = np.ones(nodes_per_axis ** (dim - 1))
     for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):

@@ -1,19 +1,23 @@
 """numpy, imported with OpenBLAS's idle worker asleep.
 
 Linking an OpenBLAS library (numpy's bundled one, or scipy's, which
-``spectra`` loads for LAPACK) starts worker threads that wait for work by
+``_eig`` loads for LAPACK) starts worker threads that wait for work by
 spinning for about 0.1 s before they sleep, right after the link and again
 after every threaded BLAS call.  On a 2-vCPU virtual machine the spin
-after numpy's link made importing ``zetaforge._mc`` take 0.17 s instead of
-0.095 s.  OpenBLAS reads ``OPENBLAS_THREAD_TIMEOUT`` once, when the library
-is linked; at 4 a worker spins for 2^4 cycles instead of about 2^28.
+after numpy's link made importing numpy for ``zetaforge._mc`` take 0.17 s
+instead of 0.095 s.  OpenBLAS reads ``OPENBLAS_THREAD_TIMEOUT`` once, when
+the library is linked; at 4 a worker spins for 2^4 cycles instead of about
+2^28.
 
 ``quiet_blas(module)`` sets the variable to 4 while its body links
 ``module``'s OpenBLAS and removes it afterwards, so ``os.environ`` is left
 as it was.  It does nothing when the variable is already set, which keeps
 the user's value, or when ``module`` is already in ``sys.modules``, whose
-library is then already linked.  ``np`` is numpy, imported through it;
-every zetaforge module takes numpy from here.
+library is then already linked.  ``np`` is numpy, imported through it.
+Every zetaforge module takes numpy from here inside the functions that use
+it, except ``_eig``, which takes it at its top and which ``spectra``
+imports inside its solve path: numpy and LAPACK load at the first float
+kernel, not at import.
 
 The cost: when zetaforge imports numpy first, numpy's workers sleep
 between BLAS calls for the rest of the process, so back-to-back threaded

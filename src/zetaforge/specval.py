@@ -13,6 +13,7 @@ inside the cube integrals only, so the scalar routines load neither.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +63,8 @@ class NchoParams:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
         if not (self.alpha * self.beta > 1):
@@ -112,9 +115,11 @@ def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | fl
     Re(s) < 0 is cancellation-limited: the head terms grow like M^{|s|},
     so the absolute error floor is about M^{|s|+1} * 1e-16.
     """
+    s = complex(s)
+    if not (cmath.isfinite(s) and math.isfinite(tau)):
+        raise ValueError("s and tau must be finite")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    s = complex(s)
     if s == 1:
         raise PoleAtOne("zeta(s, tau) has its pole at s = 1")
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
@@ -129,10 +134,12 @@ def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | fl
         (n + tau) ** (-s) for n in range(M)
     )
     x = M + tau
+    if s.imag == 0:
+        s = s.real  # a complex power of x overflows from about x = 1e154
     tail = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
     poch = s  # (s)_{2j-1} built up incrementally
     xpow = x ** (-s - 1)
-    corr = 0j
+    corr = 0.0
     for j in range(1, _EM_CORRECTIONS + 1):
         b = float(bernoulli_number(2 * j))
         corr += b / math.factorial(2 * j) * poch * xpow

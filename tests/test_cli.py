@@ -67,6 +67,12 @@ class TestBasicCommands:
 
         assert abs(json.loads(out)["value"] - math.pi**2 / 2) < 1e-12
 
+    def test_hurwitz_at_a_large_tau(self):
+        # a complex NaN here ended in "Object of type complex is not JSON
+        # serializable" and exit 1
+        code, out = run_cli("--no-meta", "hurwitz", "--s", "2", "--tau", "1e155")
+        assert code == 0 and json.loads(out)["value"] == 1e-155
+
 
 class TestCongruenceCommand:
     def test_supercongruence_ok(self):
@@ -258,9 +264,15 @@ class TestExitCodes:
              "size of the truncation"),
             (["qrm-spectrum", "--g", "0.5", "--delta", "0.7", "--n-basis", "127", "--count", "255"],
              "size of the truncation"),
-            # a non-finite parameter reaches the eigensolver's band
-            (["qrm-spectrum", "--g", "inf", "--delta", "0.5"], "infs or NaNs"),
-            (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "nan"], "infs or NaNs"),
+            # a non-finite parameter is refused before any solve; an infinite
+            # alpha printed "alpha": Infinity and "value": NaN, which are not
+            # JSON, and a large or NaN tau ended in a traceback
+            (["qrm-spectrum", "--g", "inf", "--delta", "0.5"], "must be finite"),
+            (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--eps", "nan"], "must be finite"),
+            (["special-values", "--op", "zetaQ2-closed", "--alpha", "inf", "--beta", "2"],
+             "must be finite"),
+            (["hurwitz", "--s", "nan", "--tau", "0.5"], "must be finite"),
+            (["hurwitz", "--s", "2", "--tau", "nan"], "must be finite"),
             # a zero denominator or a pole reported as `error: Fraction(1, 0)`
             (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
@@ -284,6 +296,7 @@ class TestExitCodes:
             "rkj-no-samples", "rkj-tensor-gauss-negative-samples",
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
             "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
+            "zetaQ2-closed-alpha-inf", "hurwitz-s-nan", "hurwitz-tau-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
             "mellin-qho-tau-below", "mellin-qho-tau-at",

@@ -1,24 +1,28 @@
 """Import-graph guards: importing zetaforge loads no heavy scipy subpackage,
-and a CLI job that is exact arithmetic, or float arithmetic on scalars,
-loads neither numpy nor scipy.
+importing any module but the numpy helper and the eigensolver loads
+neither numpy nor scipy's LAPACK, and a CLI job that is exact arithmetic,
+or float arithmetic on scalars, loads neither numpy nor scipy.
 
 scipy.integrate pulls in scipy.special, scipy.optimize and
 scipy.sparse.linalg, which cost about half a second per process, and
 scipy.linalg alone costs about 0.3 s, most of it scipy._lib cloning numpy.
-The package needs one LAPACK routine, which spectra loads from scipy's
-wrapper module by file, so no scipy package is ever imported.  numpy alone
-costs about 0.15 s per process, which dominates a small job.  specval
-imports numpy only inside its cube integrals, so its scalar routines
-(Hurwitz zeta, the closed form of zeta_Q(2), the R_{k,1} series) and the
-Borel sums and formal power series built on them stay free of it.
-verify-all draws no random numbers, so it never loads numpy.random or
-hashlib.
+The package needs LAPACK routines only, which the eigensolver ``_eig``
+loads from scipy's wrapper module by file, so no scipy package is ever
+imported.  numpy alone costs about 0.1-0.15 s per process, which dominates
+a small job.  Every module but ``_eig`` imports numpy inside the functions
+that use it, and ``spectra`` imports ``_eig`` inside its solve path, so
+numpy and LAPACK load at the first float kernel: the scalar routines
+(Hurwitz zeta, the closed form of zeta_Q(2), the R_{k,1} series), the
+Borel sums and formal power series built on them, and the quasi-partition
+values stay free of both.  verify-all draws no random numbers, so it never
+loads numpy.random or hashlib.
 
 Every module takes numpy from ``zetaforge._np``, which imports it with
 OPENBLAS_THREAD_TIMEOUT set, so OpenBLAS's worker thread does not spin
-beside the main thread after the link; ``spectra`` links scipy's LAPACK the
+beside the main thread after the link; ``_eig`` links scipy's LAPACK the
 same way.  The variable is set only during the link, a value the user set
-is kept, and a process that imported numpy first is left alone."""
+is kept, and a process that imported numpy first is left alone.  The
+tests of the link load numpy by a call, since an import no longer does."""
 
 import ast
 import os
@@ -42,6 +46,44 @@ def test_no_heavy_scipy_subpackages(run_python):
         f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
     assert run_python(code) == "[]"
+
+
+def test_imports_load_neither_numpy_nor_lapack(run_python):
+    # only the numpy helper and the eigensolver load them at import
+    names = sorted(m.name for m in pkgutil.iter_modules(zetaforge.__path__))
+    assert {"_np", "_eig", "_mc", "spectra"} <= set(names)
+    code = (
+        "import importlib, sys\n"
+        f"for name in {sorted(set(names) - {'_np', '_eig'})!r}:\n"
+        "    importlib.import_module('zetaforge.' + name)\n"
+        "print(sorted(m for m in ('numpy', 'scipy.linalg._flapack') if m in sys.modules))\n"
+    )
+    assert run_python(code) == "[]"
+
+
+def _run_at_import(node):
+    """The nodes under ``node`` outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_only_the_solver_imports_the_numpy_helper_at_import():
+    # every other module imports _np inside the functions that use numpy
+    package = pathlib.Path(zetaforge.__file__).parent
+    top = []
+    for path in sorted(package.rglob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("_np" in name.split(".") for name in names):
+                top.append(path.relative_to(package).as_posix())
+    assert top == ["_eig.py"]
 
 
 def test_solver_jobs_import_no_scipy_package(run_python):
@@ -68,6 +110,7 @@ EXACT_JOBS = {
     "qseries-verify": ["qseries-verify", "--max-q", "4"],
     "padic-zeta": ["padic-zeta", "--p", "5", "--s", "2", "--tau", "1/5"],
     "divergence-padic": ["divergence", "--n", "2", "--tau", "1/5", "--K", "14", "--padic-p", "5"],
+    "quasi-partition": ["quasi-partition", "--t", "0.5", "--K", "6"],
 }
 
 
@@ -136,9 +179,10 @@ _CUBE = (
     "from zetaforge import specval\n"
     "specval.r_kj_quadrature(2, 1, 0.3, method='TENSOR_GAUSS', budget=4096)\n"
 )
+# importing _mc or spectra loads neither library: a call does
 BLAS_LOADS = {
-    "mc": "import zetaforge._mc\n",
-    "spectra": "import zetaforge.spectra\n",
+    "mc": "from zetaforge import _mc\n_mc.gauss_legendre_unit(4)\n",
+    "spectra": "from zetaforge import spectra\nspectra.qrm_eigs(spectra.QrmParams(0.0, 0.5), N=32, count=4)\n",
     "specval-cube": _CUBE,
 }
 
@@ -179,7 +223,8 @@ def test_numpy_imported_first_is_left_alone(run_python, numpy_first):
         "environ = type(os.environ)\n"
         "setitem = environ.__setitem__\n"
         "environ.__setitem__ = lambda self, k, v: (writes.append(k), setitem(self, k, v))[1]\n"
-        "import zetaforge._mc\n"
+        "from zetaforge import _mc\n"
+        "_mc.gauss_legendre_unit(4)\n"
         "print(writes)\n"
     )
     assert run_python(code) == ("[]" if numpy_first else "['OPENBLAS_THREAD_TIMEOUT']")

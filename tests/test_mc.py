@@ -139,10 +139,11 @@ def test_integral_peak_memory_does_not_grow_with_the_batch():
     # 53 MB; chunked evaluation keeps it near the 2 MB result buffer.  The
     # peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of
     # the process that spawned it, so under pytest it hides the growth.
-    # specval imports _mc (and numpy) only when a cube integral runs; import
-    # it first so the peak measures the integral, not the import.
+    # specval and _mc load numpy only when a float kernel runs; load it
+    # first by a call so the peak measures the integral, not the import.
     code = (
         "from zetaforge import _mc, specval\n"
+        "_mc.gauss_legendre_unit(4)\n"
         "def peak_kb():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"

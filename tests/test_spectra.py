@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eig_banded, eigh
 
-from zetaforge import spectra, specval
+from zetaforge import _eig, spectra, specval
 from zetaforge.exact import bernoulli_poly
 from zetaforge.spectra import (
-    FitUnstable,
     IllConditioned,
     NchoParams,
     NonIntegrable,
@@ -106,7 +105,7 @@ class TestSectorSolver:
             sectors, dense = spectra._qrm_sectors(params, N), qrm_truncated_matrix(params, N)
         assert sum(b.shape[1] for b in sectors) == dense.shape[0]
         ref = eigh(dense, eigvals_only=True, subset_by_index=(0, count - 1))
-        vals = spectra._lowest(sectors, count)
+        vals = _eig._lowest(sectors, count)
         assert vals.shape == (count,) and np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vals - ref)) <= 1e-12
 
@@ -154,17 +153,17 @@ class TestLapackCall:
         band = np.concatenate(sectors, axis=1)
         m = min(count, band.shape[1])
         ref = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, m - 1))
-        assert np.array_equal(spectra._lowest(sectors, count), ref)
+        assert np.array_equal(_eig._lowest(sectors, count), ref)
 
     @pytest.mark.parametrize("spectra_first", [True, False], ids=["spectra-first", "scipy-first"])
     def test_either_import_order(self, run_python, spectra_first):
-        imports = ["import zetaforge.spectra as sp", "import scipy.linalg"]
+        imports = ["import zetaforge._eig as eig, zetaforge.spectra as sp", "import scipy.linalg"]
         code = "\n".join((imports if spectra_first else imports[::-1]) + [
             "import numpy as np",
             "blocks = sp._qrm_sectors(sp.QrmParams(0.4, 0.7, 0.3), 64)",
             "ref = scipy.linalg.eig_banded(np.concatenate(blocks, axis=1), lower=True,",
             "    eigvals_only=True, select='i', select_range=(0, 9))",
-            "print(np.array_equal(sp._lowest(blocks, 10), ref))",
+            "print(np.array_equal(eig._lowest(blocks, 10), ref))",
         ])
         assert run_python(code) == "True"
 
@@ -176,7 +175,7 @@ class TestLapackCall:
             code.append(f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = {timeout!r}")
         code += [
             "before = dict(os.environ)",
-            "import zetaforge.spectra",
+            "import zetaforge._eig",
             "print(dict(os.environ) == before, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))",
         ]
         assert run_python("\n".join(code)) == f"True {timeout}"
@@ -217,8 +216,8 @@ class TestDeepBounds:
         for N in (32, 64, 128, 256):
             spec = spectra._solve(model, params, sectors, N, count, math.inf)
             lam, radius = np.array(spec.eigenvalues), np.array(spec.convergence)
-            norm = spectra._norm_bound(np.concatenate(sectors(params, N), axis=1))  # Gershgorin
-            error = np.abs(lam - spectra._lowest(sectors(params, 32 * N), count))
+            norm = _eig._norm_bound(np.concatenate(sectors(params, N), axis=1))  # Gershgorin
+            error = np.abs(lam - _eig._lowest(sectors(params, 32 * N), count))
             slack = 64.0 * np.finfo(float).eps * norm
             assert np.all(error <= radius + slack), (N, np.max(error - radius))
 
@@ -275,8 +274,8 @@ class TestCertifiedSolve:
             (ncho_eigs, spectra._ncho_sectors) if model == "ncho" else (qrm_eigs, spectra._qrm_sectors)
         )
         spec = solve(params, N=N, count=count, threshold=math.inf)
-        full = spectra._lowest(sectors(params, N), count)
-        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(np.concatenate(sectors(params, N), axis=1))
+        full = _eig._lowest(sectors(params, N), count)
+        slack = 64.0 * np.finfo(float).eps * _eig._norm_bound(np.concatenate(sectors(params, N), axis=1))
         deviation = np.abs(np.array(spec.eigenvalues) - full)
         assert len(spec.eigenvalues) == count and spec.index_proved
         assert spec.section_N <= N and spec.truncation_N == N
@@ -298,8 +297,8 @@ class TestCertifiedSolve:
         spec = qrm_eigs(params, N=33, count=66, threshold=math.inf)
         assert not spec.index_proved
         lam, radius = np.array(spec.eigenvalues), np.array(spec.convergence)
-        assert np.array_equal(lam, spectra._lowest(spectra._qrm_sectors(params, 33), 66))
-        deep = spectra._lowest(spectra._qrm_sectors(params, 66), 66)
+        assert np.array_equal(lam, _eig._lowest(spectra._qrm_sectors(params, 33), 66))
+        deep = _eig._lowest(spectra._qrm_sectors(params, 66), 66)
         assert np.all(np.abs(lam - deep) <= radius) and radius.max() > 1.0
         with pytest.raises(NotConverged):
             qrm_eigs(params, N=33, count=66)
@@ -313,7 +312,7 @@ class TestCertifiedSolve:
 
 
 class _Spy:
-    """Stands in for ``spectra._flapack`` and records each routine fetched."""
+    """Stands in for ``_eig._flapack`` and records each routine fetched."""
 
     def __init__(self, module):
         self.module, self.calls = module, []
@@ -342,7 +341,7 @@ class TestSectionsAndRoutes:
         sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
         deep = sectors(params, 512)
         kept = [block.copy() for block in deep]
-        cut = [spectra._cut(full, w) for w, full in zip(spectra._section_widths(model, params, M), deep)]
+        cut = [_eig._cut(full, w) for w, full in zip(spectra._section_widths(model, params, M), deep)]
         own = sectors(params, M)
         assert len(cut) == len(own)
         for a, b in zip(cut, own):
@@ -355,8 +354,8 @@ class TestSectionsAndRoutes:
         ids=["ncho", "biased"],
     )
     def test_accepted_section_takes_one_qr_pass(self, monkeypatch, solve, params, routine):
-        spy = _Spy(spectra._flapack)
-        monkeypatch.setattr(spectra, "_flapack", spy)
+        spy = _Spy(_eig._flapack)
+        monkeypatch.setattr(_eig, "_flapack", spy)
         spec = solve(params, N=1024, count=40)
         assert spec.section_N < 1024 and spec.index_proved
         assert routine in spy.calls
@@ -366,24 +365,24 @@ class TestSectionsAndRoutes:
             assert spy.calls.count("dsbevx") == int(math.log2(spec.section_N // 64)) + 1
 
     def test_whole_truncation_bisects(self, monkeypatch):
-        spy = _Spy(spectra._flapack)
-        monkeypatch.setattr(spectra, "_flapack", spy)
+        spy = _Spy(_eig._flapack)
+        monkeypatch.setattr(_eig, "_flapack", spy)
         params = QrmParams(0.0, 0.5, 0.3)
         spec = qrm_eigs(params, N=33, count=66, threshold=math.inf)
         assert spec.section_N == 33 and "dsbevx" in spy.calls
         assert "dsbev" not in spy.calls and "dsterf" not in spy.calls
         lam = np.array(spec.eigenvalues)
-        assert np.array_equal(lam, spectra._lowest(spectra._qrm_sectors(params, 33), 66))
+        assert np.array_equal(lam, _eig._lowest(spectra._qrm_sectors(params, 33), 66))
 
     def test_qr_values_on_split_rungs(self):
         # at g = 0 every rung is a block of one row
         blocks = spectra._qrm_sectors(QrmParams(0.0, 0.7), 64)
         band = np.concatenate(blocks, axis=1)
         kept = band.copy()
-        w, firsts, vectors = spectra._chain_pairs(band, 1, 40, qr=True)
+        w, firsts, vectors = _eig._chain_pairs(band, 1, 40, qr=True)
         order = np.argsort(w, kind="stable")
-        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(band)
-        assert np.max(np.abs(w[order] - spectra._lowest(blocks, 40))) <= slack
+        slack = 64.0 * np.finfo(float).eps * _eig._norm_bound(band)
+        assert np.max(np.abs(w[order] - _eig._lowest(blocks, 40))) <= slack
         assert np.array_equal(band[0, firsts], w)  # each value is its own row's
         for part, z in vectors(np.arange(40)):
             assert np.array_equal(np.abs(z), np.eye(128)[firsts[part]])
@@ -394,10 +393,10 @@ class TestSectionsAndRoutes:
         sectors = spectra._ncho_sectors if model == "ncho" else spectra._qrm_sectors
         band = np.concatenate(sectors(params, 64), axis=1)
         kept = band.copy()
-        pairs = spectra._chain_pairs if band.shape[0] == 2 else spectra._band_pairs
+        pairs = _eig._chain_pairs if band.shape[0] == 2 else _eig._band_pairs
         w, firsts, vectors = pairs(band, 1, 40, qr=True)
         w0, firsts0, _ = pairs(band, 1, 40)
-        slack = 64.0 * np.finfo(float).eps * spectra._norm_bound(band)
+        slack = 64.0 * np.finfo(float).eps * _eig._norm_bound(band)
         assert np.max(np.abs(np.sort(w) - np.sort(w0))) <= slack
         # the same blocks, up to which of a tie at the top is taken (at g = 0,
         # Delta = 1/2, level n + 1/2 of one rung is n + 1 - 1/2 of the next)
@@ -435,8 +434,8 @@ class TestNchoEigs:
 
     def test_variational_monotonicity(self):
         p = NchoParams(2.5, 0.6)
-        lowN = spectra._lowest(spectra._ncho_sectors(p, 64), 20)
-        highN = spectra._lowest(spectra._ncho_sectors(p, 128), 20)
+        lowN = _eig._lowest(spectra._ncho_sectors(p, 64), 20)
+        highN = _eig._lowest(spectra._ncho_sectors(p, 128), 20)
         assert np.all(highN <= lowN + 1e-12)
 
     def test_weyl_slope(self):

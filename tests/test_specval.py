@@ -9,7 +9,7 @@ import pytest
 
 from zetaforge import specval
 from zetaforge.aperynum import aperylike_J
-from zetaforge.exact import binom_general, hurwitz_zeta_nonpos, pochhammer
+from zetaforge.exact import binom_general, hurwitz_zeta_nonpos
 from zetaforge.specval import (
     APPENDIX_AB_EXACT,
     NchoParams,
@@ -77,18 +77,28 @@ class TestHurwitzNumeric:
         w = hurwitz_zeta_num(2 + 1j, 2.0)
         assert abs(v - (w + 1.0)) < 1e-12  # ladder at tau = 1
 
+    @pytest.mark.parametrize("tau", [1e155, 1e300])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_large_tau_is_its_leading_tail(self, s, tau):
+        # past tau = 1e154 a complex power of the tail overflowed to a
+        # complex NaN; the corrections are below 1e-300 relative here
+        ref = tau ** (1 - s) / (s - 1) + tau**-s / 2
+        assert math.isclose(hurwitz_zeta_num(s, tau), ref, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("s,tau", [(math.nan, 0.5), (math.inf, 0.5), (2, math.nan), (2, math.inf)])
+    def test_non_finite_input_is_a_value_error(self, s, tau):
+        with pytest.raises(ValueError, match="must be finite"):
+            hurwitz_zeta_num(s, tau)
+
 
 class TestHyp2F1Quarter:
     def exact_series(self, x, N=400):
-        xf = F(x)
-        tot = F(0)
+        # sum_{n<N} (1/4)_n (3/4)_n / n!^2 x^n in exact rationals, each term
+        # from the last by its ratio (n + 1/4)(n + 3/4) x / (n + 1)^2
+        xf, term, tot = F(x), F(1), F(0)
         for n in range(N):
-            tot += (
-                pochhammer(F(1, 4), n)
-                * pochhammer(F(3, 4), n)
-                / F(math.factorial(n)) ** 2
-                * xf**n
-            )
+            tot += term
+            term *= (F(1, 4) + n) * (F(3, 4) + n) / (n + 1) ** 2 * xf
         return float(tot)
 
     def test_against_direct_series_inside_disc(self):
