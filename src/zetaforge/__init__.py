@@ -16,6 +16,48 @@ Subpackages by concern:
 __version__ = "0.1.0"
 
 
+class Record:
+    """Base of the parameter and result records.
+
+    A record names its fields, in order, in ``__slots__`` and sets each one
+    in its own ``__init__``.  This base gives it the repr and the field-wise
+    equality that ``dataclasses`` would generate, without importing that
+    module (and ``inspect`` with it) or compiling methods for each class.
+    A record is unhashable, as a mutable dataclass is.  Records are not
+    subclassed, so ``__slots__`` holds every field.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets its fields once, through
+    ``object.__setattr__``; it hashes by its fields and refuses assignment."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Uncertified(RuntimeError):
     """A computation did not reach its certified accuracy (convergence,
     tail, conditioning or quadrature checks); the CLI exits 3 on it."""

@@ -16,11 +16,11 @@ probe).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional
 
+from . import FrozenRecord, Record
 from .exact import (
     DenominatorNotInvertible,
     Rat,
@@ -67,12 +67,14 @@ class IndexNotIntegral(ValueError):
     """A derived sequence index (mp^j - 1)/2 is not a non-negative integer."""
 
 
-@dataclass(frozen=True)
-class ZetaCombo:
+class ZetaCombo(FrozenRecord):
     """Finite Q-linear combination over the basis {1, z2, z3, z4} with
     z_k = zeta(k, 1/2).  Zero coefficients are never stored."""
 
-    coeffs: tuple  # sorted tuple of (symbol, Fraction)
+    __slots__ = ("coeffs",)  # sorted tuple of (symbol, Fraction)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def of(cls, mapping: dict) -> "ZetaCombo":
@@ -308,15 +310,26 @@ def j_table(k: int, n_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CongruenceReport:
-    kind: str
-    params: dict
-    lhs_residue: Optional[int]
-    rhs_residue: Optional[int]
-    modulus: int
-    ok: bool
-    note: str = ""
+class CongruenceReport(Record):
+    __slots__ = ("kind", "params", "lhs_residue", "rhs_residue", "modulus", "ok", "note")
+
+    def __init__(
+        self,
+        kind: str,
+        params: dict,
+        lhs_residue: Optional[int],
+        rhs_residue: Optional[int],
+        modulus: int,
+        ok: bool,
+        note: str = "",
+    ):
+        self.kind = kind
+        self.params = params
+        self.lhs_residue = lhs_residue
+        self.rhs_residue = rhs_residue
+        self.modulus = modulus
+        self.ok = ok
+        self.note = note
 
 
 def _p_digits(n: int, p: int) -> list:

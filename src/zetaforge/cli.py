@@ -5,7 +5,7 @@ Exit codes: 0 all checks passed / value computed, 1 a verification reported
 a mismatch, 2 usage or input error, 3 a computation did not reach its
 certified accuracy.  Output formats: json (sorted keys), csv (traces),
 plain.  Handlers return result records, and ``_jsonify`` is the one
-serializer: a dataclass record is written as all of its fields, so each op
+serializer: a record is written as all of its fields, so each op
 has one key set whatever the input, and every rational is a "num/den"
 string ("2" when integral).  With a fixed --seed, exact jobs are
 byte-identical across runs and stochastic jobs are identical too
@@ -16,16 +16,13 @@ timestamp) so outputs can be compared bytewise.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
-
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import Uncertified, __version__
+from . import Record, Uncertified, __version__
 
 _EXIT_PIPE = 141
 _EXIT_CODES = (
@@ -68,17 +65,17 @@ _CUBE_TOL = 1e-6
 
 def _jsonify(obj):
     """Recursive canonicalization: Fractions to 'num/den' strings ('n' when
-    integral), dataclass records to the dict of all their fields."""
+    integral), records (``zetaforge.Record``) to the dict of all their
+    fields, in their order."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        # read without dataclasses.fields: importing dataclasses costs
-        # every exact-only job that never loads it otherwise
-        return {k: _jsonify(getattr(obj, k)) for k in obj.__dataclass_fields__}
+    if isinstance(obj, Record):
+        # a record's __slots__ names its fields in order
+        return {k: _jsonify(getattr(obj, k)) for k in obj.__slots__}
     return obj
 
 
@@ -89,6 +86,8 @@ def emit(report, fmt: str, meta: bool) -> None:
     payload = _jsonify(report)
     if meta:
         if isinstance(payload, dict):
+            import datetime
+
             payload = dict(payload)
             payload["meta"] = {
                 "version": __version__,
@@ -98,6 +97,8 @@ def emit(report, fmt: str, meta: bool) -> None:
         json.dump(payload, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif fmt == "csv":
+        import csv
+
         rows = payload if isinstance(payload, list) else payload.get("rows", [payload])
         if not rows:
             return
@@ -345,10 +346,10 @@ def _cmd_partition(args):
 
 
 def _cmd_quasi_partition(args):
-    from . import spectra
+    from . import exact
 
-    vals = spectra.qho_quasi_partition_values(args.K)
-    value = spectra.quasi_partition(vals, 1.0, args.t)
+    vals = exact.qho_quasi_partition_values(args.K)
+    value = exact.quasi_partition(vals, 1.0, args.t)
     exact = _qho_partition(args.t)
     return {
         "op": "quasi_partition",
@@ -557,8 +558,8 @@ def _cmd_verify_all(args):
            tolerance=_CUBE_TOL, points=points)
 
     # quasi-partition (qho)
-    vals = spectra.qho_quasi_partition_values(30)
-    qp = spectra.quasi_partition(vals, 1.0, 0.5)
+    vals = exact.qho_quasi_partition_values(30)
+    qp = exact.quasi_partition(vals, 1.0, 0.5)
     ok = abs(qp - _qho_partition(0.5)) < 1e-10
     record("qho-quasi-partition", ok, t=0.5, K=30)
 

@@ -4,15 +4,17 @@ Bernoulli numbers and polynomials, Hurwitz zeta values at non-positive
 integers, generalized binomials, Pochhammer symbols, and reduction of
 rationals modulo odd prime powers.  Everything here is computed in
 ``fractions.Fraction`` (eagerly normalized, positive denominator) so the
-congruence machinery built on top stays well defined.
+congruence machinery built on top stays well defined; the one float is the
+quasi-partition series summed from those exact values, kept here so that
+its command loads no float module.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
-from typing import Union
+from math import comb, factorial, fsum, isfinite
+from typing import Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
@@ -23,6 +25,8 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "hurwitz_zeta_nonpos",
+    "quasi_partition",
+    "qho_quasi_partition_values",
     "binom_general",
     "pochhammer",
     "rational_mod_prime_power",
@@ -118,6 +122,30 @@ def hurwitz_zeta_nonpos(k: int, tau: RatLike) -> Fraction:
     if k < 0:
         raise ValueError("expected a non-positive argument -k with k >= 0")
     return -bernoulli_poly(k + 1, tau) / (k + 1)
+
+
+def quasi_partition(values: Sequence, residue: float, t: float) -> float:
+    """sum_{k<=K} (-1)^k zeta_H(-k) t^k / k! + residue / t, with the
+    caller-provided special values zeta_H(-k), k = 0..K.  The Rabi model's
+    small-t model in ``mellin-zeta``, 2 (1/t - RB_1(0) + RB_2(0) t/2), is
+    this series with residue 2 and values [-2 RB_1(0), -RB_2(0)]."""
+    if not isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    acc = [residue / t]
+    tk = 1.0
+    for k, v in enumerate(values):
+        acc.append((-1.0) ** k * float(v) * tk / factorial(k))
+        tk *= t
+    return fsum(acc)
+
+
+def qho_quasi_partition_values(K: int) -> list:
+    """Exact zeta(-k, 1/2) inputs, k = 0..K."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
+    return [hurwitz_zeta_nonpos(k, Fraction(1, 2)) for k in range(K + 1)]
 
 
 def binom_general(a: RatLike, k: int) -> Fraction:

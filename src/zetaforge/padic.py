@@ -18,10 +18,10 @@ this convention and report the normalization factor explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from . import FrozenRecord
 from .exact import (
     DenominatorNotInvertible,
     _fps_coeff,
@@ -72,26 +72,26 @@ class PrecisionExhausted(ArithmeticError):
 _MIN_DIGITS = 4
 
 
-@dataclass(frozen=True)
-class Padic:
+class Padic(FrozenRecord):
     """p^val * unit with unit known modulo p^prec (canonical zero: unit 0).
 
     The absolute precision is val + prec: the value is known modulo
     p^(val+prec).
     """
 
-    p: int
-    val: int
-    unit: int
-    prec: int
+    __slots__ = ("p", "val", "unit", "prec")
 
-    def __post_init__(self):
-        if not _is_odd_prime(self.p):
+    def __init__(self, p: int, val: int, unit: int, prec: int):
+        if not _is_odd_prime(p):
             raise ValueError("p must be an odd prime")
-        if self.prec < 1:
+        if prec < 1:
             raise PrecisionExhausted("no certified digits left")
-        if self.unit != 0 and self.unit % self.p == 0:
+        if unit != 0 and unit % p == 0:
             raise ValueError("unit part must not be divisible by p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "prec", prec)
 
     # -- constructors --------------------------------------------------------
 

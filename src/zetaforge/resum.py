@@ -19,11 +19,10 @@ adaptive quadrature) are implemented with explicit error control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import Uncertified
+from . import Record, Uncertified
 from ._quad import _half_line, quad
 from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
@@ -50,15 +49,28 @@ class OutOfStrip(ValueError):
     """s outside the real strip 1 < s < 2 handled by the fractional route."""
 
 
-@dataclass
-class BorelReport:
-    z: float
-    borel_sum: float
-    quadrature_error: float
-    reference_value: float
-    agreement: bool
-    tolerance: float
-    method: str = ""
+class BorelReport(Record):
+    __slots__ = (
+        "z", "borel_sum", "quadrature_error", "reference_value", "agreement", "tolerance", "method",
+    )
+
+    def __init__(
+        self,
+        z: float,
+        borel_sum: float,
+        quadrature_error: float,
+        reference_value: float,
+        agreement: bool,
+        tolerance: float,
+        method: str = "",
+    ):
+        self.z = z
+        self.borel_sum = borel_sum
+        self.quadrature_error = quadrature_error
+        self.reference_value = reference_value
+        self.agreement = agreement
+        self.tolerance = tolerance
+        self.method = method
 
 
 def a_nj_closed(n: int, j: int, tau: float) -> float:
@@ -238,13 +250,19 @@ def borel_seam_gap(n: int) -> float:
     return abs(_borel_series(n, _SEAM) - _borel_large_t(n, _SEAM))
 
 
+def _check_z(z: float) -> None:
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    if z <= 0:
+        raise ValueError("z must be positive")
+
+
 def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     """Borel sum (1/z) int_0^inf e^{-t/z} B(t) dt against the reference
     z^{1-n} zeta(n, 1/z)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if z <= 0:
-        raise ValueError("z must be positive")
+    _check_z(z)
 
     def f_low(t: float) -> float:
         return math.exp(-t / z) * borel_transform_hurwitz(n, t)
@@ -338,8 +356,7 @@ def borel_sum_complex_s(s, z: float) -> BorelReport:
     the reported value; the Laplace route is the reference.
     """
     s = _check_strip(s)
-    if z <= 0:
-        raise ValueError("z must be positive")
+    _check_z(z)
     v1, e1 = _borel_sum_fractional_xroute(s, z)
     v2, e2 = _borel_sum_fractional_laplace(s, z)
     tol = max(1e-6, 3.0 * (e1 + e2))

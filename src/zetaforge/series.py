@@ -16,10 +16,11 @@ generating function of the normalized Apery-like numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
+
+from . import FrozenRecord, Record
 
 GRID = 24
 # sentinel truncation bound for series that are exact (polynomials, constants)
@@ -82,8 +83,7 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass
-class QSeries:
+class QSeries(Record):
     """Exact q-expansion with exponents in (1/24)Z, Laurent-bounded below.
 
     ``coeffs`` maps exponent*24 -> coefficient, stored as an int when it is
@@ -94,13 +94,11 @@ class QSeries:
     known exactly has the bound ``EXACT_BOUND``.
     """
 
-    coeffs: dict
-    max24: int
+    __slots__ = ("coeffs", "max24")
 
-    def __post_init__(self):
-        self.coeffs = {
-            e: _exact(c) for e, c in self.coeffs.items() if c != 0 and e <= self.max24
-        }
+    def __init__(self, coeffs: dict, max24: int):
+        self.coeffs = {e: _exact(c) for e, c in coeffs.items() if c != 0 and e <= max24}
+        self.max24 = max24
 
     # -- basic structure ----------------------------------------------------
 
@@ -264,14 +262,16 @@ def _polynomial(coeffs: Sequence) -> QSeries:
     return QSeries(power_series(coeffs).coeffs, EXACT_BOUND)
 
 
-@dataclass(frozen=True)
-class LinearDiffOp:
+class LinearDiffOp(FrozenRecord):
     """c2(z) d^2/dz^2 + c1(z) d/dz + c0(z) with exact polynomial coefficients."""
 
-    c0: tuple
-    c1: tuple
-    c2: tuple
-    name: str = ""
+    __slots__ = ("c0", "c1", "c2", "name")
+
+    def __init__(self, c0: tuple, c1: tuple, c2: tuple, name: str = ""):
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "name", name)
 
     def apply(self, f: QSeries) -> QSeries:
         if f.max24 < 2 * GRID:
@@ -488,15 +488,24 @@ def _weighted_sum(coeffs: Sequence, powers: list, bound: int) -> QSeries:
     return QSeries({e: Fraction(c, den) for e, c in acc.items()}, max24).truncate(bound)
 
 
-@dataclass
-class W2Report:
+class W2Report(Record):
     """Outcome of the q-expansion identity search for the weight-one form."""
 
-    matched: bool
-    convention_used: Optional[str]
-    first_mismatch: Optional[Fraction]
-    max_exponent: Fraction
-    variants: list = field(default_factory=list)
+    __slots__ = ("matched", "convention_used", "first_mismatch", "max_exponent", "variants")
+
+    def __init__(
+        self,
+        matched: bool,
+        convention_used: Optional[str],
+        first_mismatch: Optional[Fraction],
+        max_exponent: Fraction,
+        variants: Optional[list] = None,
+    ):
+        self.matched = matched
+        self.convention_used = convention_used
+        self.first_mismatch = first_mismatch
+        self.max_exponent = max_exponent
+        self.variants = [] if variants is None else variants
 
 
 def w2_hypergeometric_form(order: int) -> QSeries:

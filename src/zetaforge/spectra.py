@@ -4,8 +4,9 @@ Covers the two-by-two matrix oscillator (Hermite-basis truncation), the
 quantum Rabi model with optional bias (Fock truncation), quantum harmonic
 oscillator references, partition functions with proved two-sided tail
 brackets, nested-integral partition series, heat-trace asymptotic fits,
-quasi-partition functions, Mellin-transform spectral zeta numerics, and the
-Rabi-Bernoulli polynomial family (exact table for k <= 2, fitted beyond).
+Mellin-transform spectral zeta numerics, and the Rabi-Bernoulli polynomial
+family (exact table for k <= 2, fitted beyond).  The quasi-partition series,
+summed from exact values, lives in ``exact`` and is re-exported here.
 
 Both models conserve a Z2 parity, so each truncation splits into sectors
 in band storage: four tridiagonal chains of size about N/2 for the
@@ -38,13 +39,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from . import Uncertified, _mc
+from . import FrozenRecord, Record, Uncertified, _mc
 from ._quad import _half_line, quad
-from .exact import hurwitz_zeta_nonpos
+from .exact import qho_quasi_partition_values, quasi_partition
 from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "qrm_partition_series",
     "heat_trace_fit",
     "quasi_partition",
+    "qho_quasi_partition_values",
     "spectral_zeta_mellin",
     "spectral_zeta_direct",
     "rabi_bernoulli_exact",
@@ -101,24 +102,23 @@ class UnsupportedIndex(ValueError):
     """Exact Rabi-Bernoulli table covers k <= 2 only."""
 
 
-@dataclass(frozen=True)
-class QrmParams:
+class QrmParams(FrozenRecord):
     """Rabi model parameters: coupling g >= 0, level split Delta >= 0, bias
     eps (0 for the symmetric model); the mode frequency is fixed to 1."""
 
-    g: float
-    delta: float
-    eps: float = 0.0
+    __slots__ = ("g", "delta", "eps")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.g, self.delta, self.eps))):
+    def __init__(self, g: float, delta: float, eps: float = 0.0):
+        if not all(map(math.isfinite, (g, delta, eps))):
             raise ValueError("g, delta and eps must be finite")
-        if self.g < 0 or self.delta < 0:
+        if g < 0 or delta < 0:
             raise ValueError("g and delta must be non-negative")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "eps", eps)
 
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(Record):
     """Lowest eigenvalues of a truncation with certified radii.
 
     When ``index_proved``, the k-th eigenvalue of every truncation from
@@ -129,22 +129,45 @@ class SpectrumResult:
     smallest that converged, or ``truncation_N``.
     """
 
-    eigenvalues: list
-    model: str  # "ncho" | "qrm" | "qho"
-    params: Optional[NchoParams | QrmParams]  # what was solved; None for qho
-    truncation_N: int
-    convergence: list
-    section_N: int
-    index_proved: bool
+    __slots__ = (
+        "eigenvalues", "model", "params", "truncation_N", "convergence", "section_N", "index_proved",
+    )
+
+    def __init__(
+        self,
+        eigenvalues: list,
+        model: str,  # "ncho" | "qrm" | "qho"
+        params: Optional[NchoParams | QrmParams],  # what was solved; None for qho
+        truncation_N: int,
+        convergence: list,
+        section_N: int,
+        index_proved: bool,
+    ):
+        self.eigenvalues = eigenvalues
+        self.model = model
+        self.params = params
+        self.truncation_N = truncation_N
+        self.convergence = convergence
+        self.section_N = section_N
+        self.index_proved = index_proved
 
 
-@dataclass
-class HeatTraceFit:
-    c_minus1: float
-    odd_coeffs: list
-    even_coeffs: Optional[list]
-    residual: float
-    t_grid: list
+class HeatTraceFit(Record):
+    __slots__ = ("c_minus1", "odd_coeffs", "even_coeffs", "residual", "t_grid")
+
+    def __init__(
+        self,
+        c_minus1: float,
+        odd_coeffs: list,
+        even_coeffs: Optional[list],
+        residual: float,
+        t_grid: list,
+    ):
+        self.c_minus1 = c_minus1
+        self.odd_coeffs = odd_coeffs
+        self.even_coeffs = even_coeffs
+        self.residual = residual
+        self.t_grid = t_grid
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +441,8 @@ def partition_from_spectrum(
 
 
 def _partition(spec: SpectrumResult, t: float, tail: str, head_error: bool) -> Tuple[float, float]:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t <= 0:
         raise ValueError("t must be positive")
     if tail not in ("NONE", "QHO_BOUND"):
@@ -554,7 +579,7 @@ def qrm_partition_series(
 
 
 # ---------------------------------------------------------------------------
-# heat-trace fit, quasi-partition, Mellin zeta
+# heat-trace fit, Mellin zeta
 # ---------------------------------------------------------------------------
 
 
@@ -605,28 +630,6 @@ def heat_trace_fit(
         residual=resid,
         t_grid=[float(x) for x in t],
     )
-
-
-def quasi_partition(values: Sequence, residue: float, t: float) -> float:
-    """sum_{k<=K} (-1)^k zeta_H(-k) t^k / k! + residue / t, with the
-    caller-provided special values zeta_H(-k), k = 0..K.  The Rabi model's
-    small-t model in ``mellin-zeta``, 2 (1/t - RB_1(0) + RB_2(0) t/2), is
-    this series with residue 2 and values [-2 RB_1(0), -RB_2(0)]."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    acc = [residue / t]
-    tk = 1.0
-    for k, v in enumerate(values):
-        acc.append((-1.0) ** k * float(v) * tk / math.factorial(k))
-        tk *= t
-    return math.fsum(acc)
-
-
-def qho_quasi_partition_values(K: int) -> list:
-    """Exact zeta(-k, 1/2) inputs, k = 0..K."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    return [hurwitz_zeta_nonpos(k, Fraction(1, 2)) for k in range(K + 1)]
 
 
 def spectral_zeta_mellin(
@@ -748,16 +751,18 @@ def spectral_zeta_direct(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RabiBernoulli:
+class RabiBernoulli(Record):
     """Polynomial in tau with coefficients polynomial in g^2 and Delta^2.
 
     ``terms`` maps (i_tau, i_g2, i_d2) -> Fraction.  Exact entries exist for
     k <= 2; higher k come from numeric fits with error bars.
     """
 
-    k: int
-    terms: dict
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k: int, terms: dict):
+        self.k = k
+        self.terms = terms
 
     def evaluate(self, tau, g2, d2) -> Fraction:
         tau, g2, d2 = Fraction(tau), Fraction(g2), Fraction(d2)

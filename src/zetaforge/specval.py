@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from . import FrozenRecord, Record
 from .exact import bernoulli_number, hurwitz_zeta_nonpos
 
 __all__ = [
@@ -51,24 +51,24 @@ class UnsupportedIndexPair(ValueError):
     """(k, j) pair without a concretely given integrand."""
 
 
-@dataclass(frozen=True)
-class NchoParams:
+class NchoParams(FrozenRecord):
     """Model parameters: alpha, beta > 0 with alpha*beta > 1.
 
     ``residue`` is the one definition of c_{-1}, the residue of zeta_Q at
     s = 1 and the Weyl density of the spectrum; ``spectra._pair_bounds``
     holds the pair bounds."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __init__(self, alpha: float, beta: float):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError("alpha and beta must be finite")
-        if not (self.alpha > 0 and self.beta > 0):
+        if not (alpha > 0 and beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if not (self.alpha * self.beta > 1):
+        if not (alpha * beta > 1):
             raise ValueError("alpha*beta must exceed 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def kappa(self) -> float:
@@ -88,13 +88,22 @@ _METHODS = ("MONTE_CARLO", "TENSOR_GAUSS")
 _EPS = 2.0**-52  # double-precision machine epsilon
 
 
-@dataclass
-class QuadratureResult:
-    value: float
-    std_error: float
-    samples_or_nodes: int
-    method: str  # MONTE_CARLO | TENSOR_GAUSS
-    seed: Optional[int] = None
+class QuadratureResult(Record):
+    __slots__ = ("value", "std_error", "samples_or_nodes", "method", "seed")
+
+    def __init__(
+        self,
+        value: float,
+        std_error: float,
+        samples_or_nodes: int,
+        method: str,  # MONTE_CARLO | TENSOR_GAUSS
+        seed: Optional[int] = None,
+    ):
+        self.value = value
+        self.std_error = std_error
+        self.samples_or_nodes = samples_or_nodes
+        self.method = method
+        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +139,28 @@ def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | fl
         M = 8
     else:
         M = max(20, int(math.ceil(abs(s))) + 20)
-    head = math.fsum((n + tau) ** (-s.real) for n in range(M)) if s.imag == 0 else sum(
-        (n + tau) ** (-s) for n in range(M)
-    )
     x = M + tau
     if s.imag == 0:
         s = s.real  # a complex power of x overflows from about x = 1e154
-    tail = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
-    poch = s  # (s)_{2j-1} built up incrementally
-    xpow = x ** (-s - 1)
-    corr = 0.0
-    for j in range(1, _EM_CORRECTIONS + 1):
-        b = float(bernoulli_number(2 * j))
-        corr += b / math.factorial(2 * j) * poch * xpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        xpow /= x * x
-    val = head + tail + corr
+    try:
+        head = math.fsum((n + tau) ** (-s.real) for n in range(M)) if s.imag == 0 else sum(
+            (n + tau) ** (-s) for n in range(M)
+        )
+        tail = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
+        poch = s  # (s)_{2j-1} built up incrementally
+        xpow = x ** (-s - 1)
+        corr = 0.0
+        for j in range(1, _EM_CORRECTIONS + 1):
+            b = float(bernoulli_number(2 * j))
+            corr += b / math.factorial(2 * j) * poch * xpow
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            xpow /= x * x
+        val = head + tail + corr
+    except OverflowError:
+        val = math.inf
+    if not cmath.isfinite(val):
+        # for Re(s) < 0 the value grows like tau^{1-s}: past a double
+        raise ValueError(f"zeta(s, tau) is not a finite double at s = {s}, tau = {tau}")
     if val.imag == 0:
         return val.real
     return val
@@ -343,6 +358,8 @@ def r_kj_quadrature(
     Supported pairs: (2,1), (3,1), (4,1), (4,2); others raise
     UnsupportedIndexPair since no general integrand is displayed.
     """
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     if (k, j) not in ((2, 1), (3, 1), (4, 1), (4, 2)):
@@ -464,7 +481,10 @@ APPENDIX_AB_EXACT = {
 
 def r42_series(t: float) -> float:
     """Low-order expansion R_{4,2}(t) = 16 sum_n C(-1/2,n) sum_k C(n,k)
-    A_{n,k} t^{n+k} through n = 1, where the exact A table stops."""
+    A_{n,k} t^{n+k} through n = 1, where the exact A table stops; t is
+    kappa^2."""
+    if not math.isfinite(t):
+        raise ValueError(f"t = kappa^2 must be finite, got {t}")
     A = APPENDIX_AB_EXACT
     return 16.0 * (A[("A", 0, 0)] - 0.5 * (A[("A", 1, 0)] * t + A[("A", 1, 1)] * t * t))
 

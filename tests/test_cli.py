@@ -273,6 +273,18 @@ class TestExitCodes:
              "must be finite"),
             (["hurwitz", "--s", "nan", "--tau", "0.5"], "must be finite"),
             (["hurwitz", "--s", "2", "--tau", "nan"], "must be finite"),
+            # a non-finite t or kappa printed NaN or Infinity and exited 0, or
+            # (t = inf) reported "-inf + inf in fsum"
+            (["special-values", "--op", "r42", "--kappa", "nan"], "kappa^2 must be finite"),
+            (["special-values", "--op", "rkj", "--k", "2", "--j", "1", "--kappa", "inf",
+              "--samples", "100"], "kappa must be finite"),
+            (["partition", "--model", "qho", "--t", "nan"], "t must be finite"),
+            (["quasi-partition", "--t", "nan", "--K", "3"], "t must be finite"),
+            (["quasi-partition", "--t", "inf", "--K", "3"], "t must be finite"),
+            # a value past the largest double reported "(34, 'Numerical result
+            # out of range')", and a NaN z was called "s and tau"
+            (["hurwitz", "--s", "-0.5", "--tau", "1e300"], "s = -0.5, tau = 1e+300"),
+            (["borel", "--s", "1.5", "--z", "nan"], "z must be finite"),
             # a zero denominator or a pole reported as `error: Fraction(1, 0)`
             (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
@@ -297,6 +309,8 @@ class TestExitCodes:
             "rkj-tensor-gauss-no-samples", "ncho-count-0", "quasi-partition-negative-K",
             "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
             "zetaQ2-closed-alpha-inf", "hurwitz-s-nan", "hurwitz-tau-nan",
+            "r42-kappa-nan", "rkj-kappa-inf", "partition-t-nan", "quasi-partition-t-nan",
+            "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
             "mellin-qho-tau-below", "mellin-qho-tau-at",

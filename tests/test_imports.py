@@ -1,7 +1,16 @@
 """Import-graph guards: importing zetaforge loads no heavy scipy subpackage,
 importing any module but the numpy helper and the eigensolver loads
-neither numpy nor scipy's LAPACK, and a CLI job that is exact arithmetic,
-or float arithmetic on scalars, loads neither numpy nor scipy.
+neither numpy nor scipy's LAPACK, nor ``dataclasses``, ``inspect``, ``csv``
+or ``datetime``, and a CLI job that is exact arithmetic, or float
+arithmetic on scalars, loads neither numpy nor scipy.  ``quasi-partition``
+loads neither ``spectra`` nor ``specval``.
+
+The records are plain classes on ``zetaforge.Record``: ``dataclasses``
+imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), about 9-11 ms,
+and compiled the generated methods of each record class, about 1 ms a class.
+``cli`` imports ``csv`` and ``datetime`` where it writes CSV or the meta
+timestamp.  The quasi-partition series lives in ``exact`` beside the exact
+values it sums, so its job costs what ``bernoulli`` costs.
 
 scipy.integrate pulls in scipy.special, scipy.optimize and
 scipy.sparse.linalg, which cost about half a second per process, and
@@ -57,6 +66,21 @@ def test_imports_load_neither_numpy_nor_lapack(run_python):
         f"for name in {sorted(set(names) - {'_np', '_eig'})!r}:\n"
         "    importlib.import_module('zetaforge.' + name)\n"
         "print(sorted(m for m in ('numpy', 'scipy.linalg._flapack') if m in sys.modules))\n"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_imports_load_no_dataclasses_inspect_csv_or_datetime(run_python):
+    # the records are plain classes on zetaforge.Record, and cli imports csv
+    # and datetime where it writes CSV or the meta timestamp: dataclasses
+    # (with inspect, ast, dis and tokenize) and building its classes cost
+    # about 22 ms of every start-up
+    names = sorted(m.name for m in pkgutil.iter_modules(zetaforge.__path__))
+    code = (
+        "import importlib, sys\n"
+        f"for name in {sorted(set(names) - {'_np', '_eig'})!r}:\n"
+        "    importlib.import_module('zetaforge.' + name)\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'csv', 'datetime') if m in sys.modules))\n"
     )
     assert run_python(code) == "[]"
 
@@ -143,6 +167,19 @@ def test_exact_job_loads_no_numpy(run_python, argv):
 @pytest.mark.parametrize("argv", FLOAT_JOBS.values(), ids=FLOAT_JOBS.keys())
 def test_float_job_loads_no_numpy(run_python, argv):
     assert _loaded_heavy(run_python, argv) == "0 []"
+
+
+def test_quasi_partition_loads_no_float_module(run_python):
+    # its series and exact values live in zetaforge.exact, so the job costs
+    # what bernoulli costs
+    code = (
+        "import contextlib, io, sys\n"
+        "from zetaforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run({EXACT_JOBS['quasi-partition']!r})\n"
+        "print(code, sorted(m for m in ('zetaforge.spectra', 'zetaforge.specval') if m in sys.modules))\n"
+    )
+    assert run_python(code) == "0 []"
 
 
 @pytest.mark.parametrize("budget", ["quick", "full"])
