@@ -42,10 +42,10 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from . import FrozenRecord, Record, Uncertified, _mc
+from . import FrozenRecord, Record, Uncertified
 from ._quad import _half_line, quad
 from .exact import qho_quasi_partition_values, quasi_partition
-from .specval import NchoParams, QuadratureResult, hurwitz_zeta_num
+from .specval import NchoParams, QuadratureResult, _gauss_cube, hurwitz_zeta_num
 
 __all__ = [
     "NotConverged",
@@ -524,7 +524,6 @@ def qrm_partition_series(
     t: float,
     lam_max: int = 2,
     budget: int = 10**6,
-    seed: int = 0,
 ) -> QuadratureResult:
     """Partition function from the nested-integral series truncated at shell
     lam_max:
@@ -532,9 +531,13 @@ def qrm_partition_series(
     Z(t) = 2 e^{t g^2} / (1 - e^{-t}) [ 1 + e^{-2 g^2 coth(t/2)}
            sum_{l=1}^{lam_max} (t Delta)^{2l} I_{2l}(t) ],
 
-    with I_d the ordered-simplex integral estimated by sorting uniform
-    samples (the trace normalization 2 comes from the two-level structure).
-    The shell budgets are split proportionally to (t Delta)^{2l}.
+    with I_d the integral over the ordered simplex 0 <= mu_1 <= ... <= mu_d
+    <= 1 (the trace normalization 2 comes from the two-level structure).
+    Each I_d is integrated over the cube [0,1]^d by the tensor Gauss rule
+    through mu_j = prod_{i>=j} w_i, which is ascending and has Jacobian
+    prod_i w_i^{i-1}.  The node budget is split across the shells in
+    proportion to (t Delta)^{2l}, and their weighted n-versus-n/2 estimates
+    add linearly.
     """
     if params.eps != 0.0:
         raise ValueError("nested-integral series implemented for zero bias")
@@ -545,37 +548,24 @@ def qrm_partition_series(
     g, delta = params.g, params.delta
     pref = 2.0 * math.exp(t * g * g) / -math.expm1(-t)
     if lam_max == 0 or delta == 0.0:
-        return QuadratureResult(pref, 0.0, 0, "MONTE_CARLO", seed=seed)
+        return QuadratureResult(pref, 0.0, 0, "TENSOR_GAUSS")
+
+    from ._np import np
+
+    def f(w: np.ndarray) -> np.ndarray:
+        mu = np.cumprod(w[:, ::-1], axis=1)[:, ::-1]
+        return np.prod(w ** np.arange(w.shape[1]), axis=1) * np.exp(_qrm_shell_exponent(mu, t, g))
 
     damp = math.exp(-2.0 * g * g / math.tanh(0.5 * t))
     weights = [(t * delta) ** (2 * l) for l in range(1, lam_max + 1)]
     wsum = sum(weights)
-    total = 1.0
-    err2 = 0.0
-    used = 0
-    rng = _mc.philox_rng("qrm_partition", (g, delta, float(t), lam_max), seed)
-    for l in range(1, lam_max + 1):
-        d = 2 * l
-        shell_budget = max(1000, int(budget * weights[l - 1] / wsum))
-        if g == 0.0:
-            # exponent vanishes identically: the integral is 1/d!
-            mean, err = 1.0, 0.0
-            n_used = 0
-        else:
-            from ._np import np
-
-            def f(pts: np.ndarray) -> np.ndarray:
-                mu = np.sort(pts, axis=1)
-                return np.exp(_qrm_shell_exponent(mu, t, g))
-
-            mean, err, n_used = _mc.mc_mean(f, d, shell_budget, rng)
-        factor = weights[l - 1] * damp / math.factorial(d)
-        total += factor * mean
-        err2 += (factor * err) ** 2
-        used += n_used
-    return QuadratureResult(
-        pref * total, pref * math.sqrt(err2), used, "MONTE_CARLO", seed=seed
-    )
+    total, err, nodes = 1.0, 0.0, 0
+    for l, weight in enumerate(weights, start=1):
+        res = _gauss_cube(f, 2 * l, max(1000, int(budget * weight / wsum)))
+        total += weight * damp * res.value
+        err += weight * damp * res.std_error
+        nodes += res.samples_or_nodes
+    return QuadratureResult(pref * total, pref * err, nodes, "TENSOR_GAUSS")
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +639,9 @@ def spectral_zeta_mellin(
     ``t_cut``, so the half that holds the jump is integrated on each side of
     its image separately.
     """
+    for name, value in (("s", s), ("tau", tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if s <= 1:
         raise NonIntegrable("need Re s > 1 for the Mellin integral")
     jump = t_cut if small_t_model is not None else 0.0

@@ -204,6 +204,47 @@ class TestExitCodes:
         assert captured.err.startswith("error: NotConverged: max convergence estimate")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the Laplace integral was taken over t in [0, 1], where a weight
+            # e^{-t/z} of width 1e-8 fell between the rule's nodes: the sum
+            # read 0 against a reference of 1 ...
+            ["borel", "--n", "2", "--z", "1e-8"],
+            # ... and at fractional order the reference read 4e-45 against 2
+            ["borel", "--s", "1.5", "--z", "1e-5"],
+        ],
+        ids=["integer-z-1e-8", "fractional-z-1e-5"],
+    )
+    def test_borel_small_z_agrees(self, argv, capsys):
+        code = cli.run(["--no-meta", *argv])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rep["agreement"] is True
+        assert rep["tolerance"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            # the truncated Laplace tail, about 2.6e-4, widened the tolerance
+            # to 7.8e-4; without the tail in the estimate the two routes
+            # differ by more than 1e-6 and the command exits 1
+            "0.5",
+            # "agreement" between 10.77 and 1.39 within a tolerance of 10
+            "10",
+            "1e10",
+            # the x-route failed first, on tau = 8e-300, and exited 2
+            "1e300",
+        ],
+    )
+    def test_borel_unresolved_laplace_exits_three(self, z, capsys):
+        code = cli.run(["--no-meta", "borel", "--s", "1.5", "--z", z])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: QuadratureFailure: error estimate")
+        assert "exceeds the tolerance 1.0e-06" in captured.err
+
     def test_help_documents_exit_codes(self, capsys):
         cli.run(["--help"])
         epilog = " ".join(capsys.readouterr().out.split())
@@ -300,6 +341,14 @@ class TestExitCodes:
               "--tau", "0.5"], "tau = 0.5"),
             (["mellin-zeta", "--model", "qho", "--s", "2", "--tau", "-0.7"], "tau = -0.7"),
             (["mellin-zeta", "--model", "qho", "--s", "2", "--tau", "-0.5"], "tau = -0.5"),
+            # a non-finite s or tau ran the quadrature to its interval limit
+            # and was reported as "Mellin integral did not converge"
+            (["mellin-zeta", "--model", "qho", "--s", "2.5", "--tau", "nan"],
+             "tau must be finite, got nan"),
+            (["mellin-zeta", "--model", "qho", "--s", "nan", "--tau", "1"],
+             "s must be finite, got nan"),
+            (["mellin-zeta", "--model", "qho", "--s", "inf", "--tau", "1"],
+             "s must be finite, got inf"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -313,7 +362,8 @@ class TestExitCodes:
             "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
-            "mellin-qho-tau-below", "mellin-qho-tau-at",
+            "mellin-qho-tau-below", "mellin-qho-tau-at", "mellin-qho-tau-nan",
+            "mellin-qho-s-nan", "mellin-qho-s-inf",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

@@ -281,3 +281,30 @@ def test_only_the_helper_imports_numpy():
             if any(name == "numpy" or name.startswith("numpy.") for name in names):
                 direct.append(path.relative_to(package).as_posix())
     assert direct == ["_np.py"]
+
+
+def test_only_the_cube_quadrature_draws_monte_carlo_samples():
+    # the Rabi partition series and the R_{4,2} contact run the tensor Gauss
+    # rule; Monte Carlo is left only behind the cube integrals' method switch
+    package = pathlib.Path(zetaforge.__file__).parent
+    stochastic = ("mc_mean", "philox_rng")
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    if name in stochastic:
+                        callers.add((path.relative_to(package).as_posix(), func.name))
+    assert callers == {("specval.py", "_cube_quadrature")}
+
+    spectra_imports = []
+    for node in ast.walk(ast.parse((package / "spectra.py").read_text())):
+        if isinstance(node, ast.Import):
+            spectra_imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            spectra_imports += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert not [name for name in spectra_imports if "_mc" in name.split(".")]

@@ -201,6 +201,20 @@ class TestPadicHurwitz:
         z2 = padic_hurwitz_zeta(2, F(1, 5), p=5, prec=20, K=40)
         assert z1.agrees_with(z2, digits=20)
 
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_short_truncations_certify_only_true_digits(self, p):
+        # every digit that a short truncation certifies must agree with a
+        # deep one; a tail valuation two higher certified wrong digits
+        tau = F(1, p)
+        for s in (2, 3, 4, -1):
+            ref = padic_hurwitz_zeta(s, tau, p=p, K=400, prec=40)
+            for K in range(2, 12):
+                try:
+                    z = padic_hurwitz_zeta(s, tau, p=p, K=K, prec=40)
+                except PrecisionExhausted:
+                    continue
+                assert z.agrees_with(ref), (s, K)
+
     def test_domain_errors(self):
         with pytest.raises(SAtOne):
             padic_hurwitz_zeta(1, F(1, 5), p=5)

@@ -364,8 +364,15 @@ class TestAppendixAB:
         assert math.isclose(r42_series(t), expect, rel_tol=1e-13)
 
     def test_r42_order_of_contact(self):
-        res = r42_order_of_contact([0.1, 0.2], budget=1_500_000, seed=6)
+        res = r42_order_of_contact([0.1, 0.2], budget=1_500_000)
         d1, d2 = res[0]["difference"], res[1]["difference"]
         assert abs(d1) > 3 * res[0]["std_error"]
         slope = math.log(abs(d2 / d1)) / math.log(2.0)
         assert 2.5 < slope < 5.5
+
+    def test_r42_order_of_contact_pinned(self):
+        # the tensor Gauss rule resolves each difference to about 1e-10
+        res = r42_order_of_contact([0.1, 0.2])
+        for row, expect in zip(res, (1.1820748e-3, 1.8582528e-2)):
+            assert abs(row["difference"] - expect) <= 1e-9
+            assert row["std_error"] <= 1e-9
