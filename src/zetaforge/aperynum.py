@@ -23,7 +23,6 @@ from typing import Optional
 from . import FrozenRecord, Record
 from .exact import (
     DenominatorNotInvertible,
-    Rat,
     _is_odd_prime,
     padic_valuation,
     rational_mod_prime_power,
@@ -72,9 +71,6 @@ class ZetaCombo(FrozenRecord):
     z_k = zeta(k, 1/2).  Zero coefficients are never stored."""
 
     __slots__ = ("coeffs",)  # sorted tuple of (symbol, Fraction)
-
-    def __init__(self, coeffs: tuple):
-        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def of(cls, mapping: dict) -> "ZetaCombo":
@@ -311,25 +307,10 @@ def j_table(k: int, n_max: int) -> list:
 
 
 class CongruenceReport(Record):
-    __slots__ = ("kind", "params", "lhs_residue", "rhs_residue", "modulus", "ok", "note")
+    """The residues of a congruence's two sides (None if not computed) mod ``modulus``."""
 
-    def __init__(
-        self,
-        kind: str,
-        params: dict,
-        lhs_residue: Optional[int],
-        rhs_residue: Optional[int],
-        modulus: int,
-        ok: bool,
-        note: str = "",
-    ):
-        self.kind = kind
-        self.params = params
-        self.lhs_residue = lhs_residue
-        self.rhs_residue = rhs_residue
-        self.modulus = modulus
-        self.ok = ok
-        self.note = note
+    __slots__ = ("kind", "params", "lhs_residue", "rhs_residue", "modulus", "ok", "note")
+    _defaults = {"note": ""}
 
 
 def _p_digits(n: int, p: int) -> list:

@@ -121,11 +121,14 @@ def _emit_plain(payload, stream, indent: int = 0) -> None:
                 stream.write(f"{pad}{k}: {v}\n")
     elif isinstance(payload, list):
         for v in payload:
-            if isinstance(v, (dict, list)):
-                _emit_plain(v, stream, indent)
-                stream.write("\n" if indent == 0 else "")
-            else:
+            if not isinstance(v, (dict, list)):
                 stream.write(f"{pad}{v}\n")
+            elif indent == 0:  # a blank line ends each top-level entry
+                _emit_plain(v, stream, indent)
+                stream.write("\n")
+            else:  # a nested entry starts at its own "-" line
+                stream.write(f"{pad}-\n")
+                _emit_plain(v, stream, indent + 1)
     else:
         stream.write(f"{pad}{payload}\n")
 
@@ -605,8 +608,6 @@ def _cmd_verify_all(args):
     # padic
     okp = True
     for pp in cfg["primes"]:
-        if pp < 3:
-            continue
         tau = F(2, pp)
         tp = padic_mod.Padic.from_rational(tau, pp, 24)
         for k in (1, 2, 3, 4):

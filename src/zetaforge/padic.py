@@ -76,7 +76,7 @@ class Padic(FrozenRecord):
     """p^val * unit with unit known modulo p^prec (canonical zero: unit 0).
 
     The absolute precision is val + prec: the value is known modulo
-    p^(val+prec).
+    p^(val+prec), a zero's val being no valuation.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
@@ -88,10 +88,7 @@ class Padic(FrozenRecord):
             raise PrecisionExhausted("no certified digits left")
         if unit != 0 and unit % p == 0:
             raise ValueError("unit part must not be divisible by p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "prec", prec)
+        super().__init__(p, val, unit, prec)
 
     # -- constructors --------------------------------------------------------
 
@@ -129,17 +126,15 @@ class Padic(FrozenRecord):
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "valuation": self.val if not self.is_zero() else None,
-            "digits": self.digits(),
-            "precision": self.prec,
-        }
+        if self.is_zero():  # its digits from p^0 to its absolute precision
+            n = self.val + self.prec
+            return {"p": self.p, "valuation": None, "digits": [0] * max(n, 0), "precision": n}
+        return {"p": self.p, "valuation": self.val, "digits": self.digits(), "precision": self.prec}
 
     def expansion_str(self) -> str:
         """The first eight digits as a sum of powers of p, plus O(p^N)."""
         if self.is_zero():
-            return f"O({self.p}^{self.prec})"
+            return f"O({self.p}^{self.val + self.prec})"
         parts = []
         for i, d in enumerate(self.digits(min(8, self.prec))):
             if d:
@@ -157,22 +152,21 @@ class Padic(FrozenRecord):
     def __add__(self, other: "Padic") -> "Padic":
         self._check_same(other)
         p = self.p
-        if self.is_zero():
-            abs_prec = min(other.val + other.prec, self.val + self.prec)
-            return Padic(p, other.val, other.unit % p ** (abs_prec - other.val), abs_prec - other.val) if not other.is_zero() else Padic(p, 0, 0, min(self.prec, other.prec))
-        if other.is_zero():
-            return other + self
         abs_prec = min(self.val + self.prec, other.val + other.prec)
-        v = min(self.val, other.val)
+        # digits start at the lowest valuation of a nonzero term above
+        # abs_prec; with none, the sum is the less precise operand, a zero
+        terms = [x for x in (self, other) if not x.is_zero()]
+        vals = [x.val for x in terms if x.val < abs_prec]
+        if not vals:
+            return self if self.val + self.prec == abs_prec else other
+        v = min(vals)
         digits = abs_prec - v
         if digits < _MIN_DIGITS:
             raise PrecisionExhausted("addition out of certified range")
         modulus = p**digits
-        total = (
-            self.unit * p ** (self.val - v) + other.unit * p ** (other.val - v)
-        ) % modulus
-        if total == 0:
-            return Padic(p, 0, 0, digits)
+        total = sum(x.unit * p ** (x.val - v) for x in terms) % modulus
+        if total == 0:  # known modulo p^abs_prec, as the operands are
+            return Padic(p, v, 0, digits)
         shift = 0
         while total % p == 0:
             total //= p
@@ -195,8 +189,7 @@ class Padic(FrozenRecord):
     def __mul__(self, other: "Padic") -> "Padic":
         self._check_same(other)
         prec = min(self.prec, other.prec)
-        if self.is_zero() or other.is_zero():
-            return Padic(self.p, 0, 0, prec)
+        # a zero factor gives a zero at the valuations' sum, as a unit does
         unit = (self.unit * other.unit) % self.p**prec
         return Padic(self.p, self.val + other.val, unit, prec)
 
@@ -225,13 +218,11 @@ class Padic(FrozenRecord):
     def reduce_mod(self, e: int) -> int:
         """The value mod p^e as an integer, for 0 <= e <= val + prec and
         val >= 0."""
-        if self.is_zero():
-            return 0
-        if self.val < 0:
+        if self.val < 0 and not self.is_zero():
             raise ValueError("negative valuation has no residue mod p^e")
         if e > self.val + self.prec:
             raise PrecisionExhausted("requested residue beyond certified digits")
-        return (self.unit * self.p**self.val) % self.p**e
+        return 0 if self.is_zero() else (self.unit * self.p**self.val) % self.p**e
 
     def agrees_with(self, other: "Padic", digits: Optional[int] = None) -> bool:
         """Equality modulo p^(min certified absolute precision), optionally

@@ -51,27 +51,12 @@ class OutOfStrip(ValueError):
 
 
 class BorelReport(Record):
+    """A Borel sum at z and its quadrature error against a reference value."""
+
     __slots__ = (
         "z", "borel_sum", "quadrature_error", "reference_value", "agreement", "tolerance", "method",
     )
-
-    def __init__(
-        self,
-        z: float,
-        borel_sum: float,
-        quadrature_error: float,
-        reference_value: float,
-        agreement: bool,
-        tolerance: float,
-        method: str = "",
-    ):
-        self.z = z
-        self.borel_sum = borel_sum
-        self.quadrature_error = quadrature_error
-        self.reference_value = reference_value
-        self.agreement = agreement
-        self.tolerance = tolerance
-        self.method = method
+    _defaults = {"method": ""}
 
 
 def a_nj_closed(n: int, j: int, tau: float) -> float:
@@ -279,6 +264,11 @@ def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     if n < 2:
         raise ValueError("need n >= 2")
     _check_z(z)
+    try:
+        reference = z ** (1 - n) * float(hurwitz_zeta_num(n, 1.0 / z))
+    except OverflowError:  # z ** (1 - n) past the largest double at a tiny z
+        msg = f"z^(1-n) zeta(n, 1/z) is not a finite double at z = {z:g}, n = {n}"
+        raise ValueError(msg) from None
 
     B = functools.partial(borel_transform_hurwitz, n)
     low, err_low = _laplace_low(B, z, 1.0)
@@ -287,7 +277,6 @@ def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
         raise QuadratureFailure("Laplace integral diverged")
     value = low + high / z
     qerr = err_low + err_high / z
-    reference = z ** (1 - n) * float(hurwitz_zeta_num(n, 1.0 / z))
     tol = 1e-8 * max(1.0, abs(reference))
     _certify(qerr, tol, z)
     return BorelReport(

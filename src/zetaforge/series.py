@@ -97,8 +97,7 @@ class QSeries(Record):
     __slots__ = ("coeffs", "max24")
 
     def __init__(self, coeffs: dict, max24: int):
-        self.coeffs = {e: _exact(c) for e, c in coeffs.items() if c != 0 and e <= max24}
-        self.max24 = max24
+        super().__init__({e: _exact(c) for e, c in coeffs.items() if c != 0 and e <= max24}, max24)
 
     # -- basic structure ----------------------------------------------------
 
@@ -263,15 +262,11 @@ def _polynomial(coeffs: Sequence) -> QSeries:
 
 
 class LinearDiffOp(FrozenRecord):
-    """c2(z) d^2/dz^2 + c1(z) d/dz + c0(z) with exact polynomial coefficients."""
+    """c2(z) d^2/dz^2 + c1(z) d/dz + c0(z) with exact polynomial coefficients,
+    each a tuple of coefficients in ascending powers of z."""
 
     __slots__ = ("c0", "c1", "c2", "name")
-
-    def __init__(self, c0: tuple, c1: tuple, c2: tuple, name: str = ""):
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "name", name)
+    _defaults = {"name": ""}
 
     def apply(self, f: QSeries) -> QSeries:
         if f.max24 < 2 * GRID:
@@ -501,11 +496,9 @@ class W2Report(Record):
         max_exponent: Fraction,
         variants: Optional[list] = None,
     ):
-        self.matched = matched
-        self.convention_used = convention_used
-        self.first_mismatch = first_mismatch
-        self.max_exponent = max_exponent
-        self.variants = [] if variants is None else variants
+        # a fresh list each, so that no two reports share one
+        variants = [] if variants is None else variants
+        super().__init__(matched, convention_used, first_mismatch, max_exponent, variants)
 
 
 def w2_hypergeometric_form(order: int) -> QSeries:

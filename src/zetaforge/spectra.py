@@ -113,9 +113,7 @@ class QrmParams(FrozenRecord):
             raise ValueError("g, delta and eps must be finite")
         if g < 0 or delta < 0:
             raise ValueError("g and delta must be non-negative")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "eps", eps)
+        super().__init__(g, delta, eps)
 
 
 class SpectrumResult(Record):
@@ -126,48 +124,21 @@ class SpectrumResult(Record):
     of ``eigenvalues[k]``.  Otherwise ``convergence[k]`` is the enclosure of
     the model's pair bounds, which holds from ``section_N`` levels up and for
     the untruncated model.  ``section_N`` is the leading section solved: the
-    smallest that converged, or ``truncation_N``.
+    smallest that converged, or ``truncation_N``.  ``model`` is "ncho",
+    "qrm" or "qho"; ``params`` is what was solved (NchoParams or QrmParams),
+    None for qho.
     """
 
     __slots__ = (
         "eigenvalues", "model", "params", "truncation_N", "convergence", "section_N", "index_proved",
     )
 
-    def __init__(
-        self,
-        eigenvalues: list,
-        model: str,  # "ncho" | "qrm" | "qho"
-        params: Optional[NchoParams | QrmParams],  # what was solved; None for qho
-        truncation_N: int,
-        convergence: list,
-        section_N: int,
-        index_proved: bool,
-    ):
-        self.eigenvalues = eigenvalues
-        self.model = model
-        self.params = params
-        self.truncation_N = truncation_N
-        self.convergence = convergence
-        self.section_N = section_N
-        self.index_proved = index_proved
-
 
 class HeatTraceFit(Record):
-    __slots__ = ("c_minus1", "odd_coeffs", "even_coeffs", "residual", "t_grid")
+    """The heat-trace fit over ``t_grid``: c_{-1}, the odd and the even
+    coefficients (``even_coeffs`` None when not fitted) and the residual."""
 
-    def __init__(
-        self,
-        c_minus1: float,
-        odd_coeffs: list,
-        even_coeffs: Optional[list],
-        residual: float,
-        t_grid: list,
-    ):
-        self.c_minus1 = c_minus1
-        self.odd_coeffs = odd_coeffs
-        self.even_coeffs = even_coeffs
-        self.residual = residual
-        self.t_grid = t_grid
+    __slots__ = ("c_minus1", "odd_coeffs", "even_coeffs", "residual", "t_grid")
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +723,6 @@ class RabiBernoulli(Record):
     """
 
     __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms: dict):
-        self.k = k
-        self.terms = terms
 
     def evaluate(self, tau, g2, d2) -> Fraction:
         tau, g2, d2 = Fraction(tau), Fraction(g2), Fraction(d2)

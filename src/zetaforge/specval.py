@@ -67,8 +67,7 @@ class NchoParams(FrozenRecord):
             raise ValueError("alpha and beta must be positive")
         if not (alpha * beta > 1):
             raise ValueError("alpha*beta must exceed 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(alpha, beta)
 
     @property
     def kappa(self) -> float:
@@ -89,21 +88,11 @@ _EPS = 2.0**-52  # double-precision machine epsilon
 
 
 class QuadratureResult(Record):
-    __slots__ = ("value", "std_error", "samples_or_nodes", "method", "seed")
+    """A cube integral, its error estimate and its samples or nodes; ``method``
+    is MONTE_CARLO or TENSOR_GAUSS, and ``seed`` is None for the Gauss rule."""
 
-    def __init__(
-        self,
-        value: float,
-        std_error: float,
-        samples_or_nodes: int,
-        method: str,  # MONTE_CARLO | TENSOR_GAUSS
-        seed: Optional[int] = None,
-    ):
-        self.value = value
-        self.std_error = std_error
-        self.samples_or_nodes = samples_or_nodes
-        self.method = method
-        self.seed = seed
+    __slots__ = ("value", "std_error", "samples_or_nodes", "method", "seed")
+    _defaults = {"seed": None}
 
 
 # ---------------------------------------------------------------------------

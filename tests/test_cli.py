@@ -157,6 +157,71 @@ class TestSpecialValuesMethod:
         assert rep["seed"] is None  # a deterministic rule has no seed
 
 
+class TestSeriesOps:
+    def test_r_series(self):
+        code, out = run_cli(
+            "--no-meta", "special-values", "--op", "r-series", "--k", "3", "--kappa", "0.3",
+            "--n-max", "20",
+        )
+        rep = json.loads(out)
+        assert code == 0
+        assert set(rep) == {"op", "k", "kappa", "n_max", "value", "last_term"}
+        assert rep["op"] == "r_k1_series" and (rep["k"], rep["kappa"], rep["n_max"]) == (3, 0.3, 20)
+        assert [rep["value"], rep["last_term"]] == list(specval.r_k1_series(3, 0.3, 20))
+
+    def test_r42(self):
+        code, out = run_cli("--no-meta", "special-values", "--op", "r42", "--kappa", "0.3")
+        rep = json.loads(out)
+        assert code == 0
+        assert set(rep) == {"op", "t", "value", "truncation_order"}
+        assert rep["op"] == "r42_series" and rep["t"] == 0.3**2 and rep["truncation_order"] == 1
+        assert rep["value"] == specval.r42_series(0.3**2)
+
+
+class TestPlainFormat:
+    def test_nested_list_entries_start_at_a_dash(self, capsys):
+        payload = {
+            "checks": [{"name": "a", "points": [{"x": 1}, {"x": 2}]}, {"name": "b"}],
+            "primes": [3, 5],
+        }
+        cli.emit(payload, "plain", meta=False)
+        assert capsys.readouterr().out == (
+            "checks:\n"
+            "  -\n"
+            "    name: a\n"
+            "    points:\n"
+            "      -\n"
+            "        x: 1\n"
+            "      -\n"
+            "        x: 2\n"
+            "  -\n"
+            "    name: b\n"
+            "primes:\n"
+            "  3\n"
+            "  5\n"
+        )
+
+    def test_top_level_entries_end_at_a_blank_line(self):
+        code, out = run_cli(
+            "--no-meta", "--format", "plain", "divergence", "--n", "2", "--tau", "10", "--K", "1"
+        )
+        assert code == 0
+        assert out == (
+            "k: 0\nterm: 0.1\npartial_sum: 0.1\n\n"
+            "k: 1\nterm: 0.005\npartial_sum: 0.10500000000000001\n\n"
+        )
+
+    def test_verify_all_marks_each_check(self):
+        code, out = run_cli("--no-meta", "--format", "plain", "verify-all", "--budget", "quick")
+        rep = json.loads(run_cli("--no-meta", "verify-all", "--budget", "quick")[1])
+        lines = out.splitlines()
+        assert code == 0
+        assert lines.count("  -") == len(rep["checks"]) == 13
+        checks = {c["name"]: c for c in rep["checks"]}
+        points = checks["zetaQ2-closed-vs-assembled"]["points"]
+        assert lines.count("      -") == len(points) > 1
+
+
 class TestStochasticDeterminism:
     def test_same_seed_identical(self):
         args = (
@@ -326,6 +391,9 @@ class TestExitCodes:
             # out of range')", and a NaN z was called "s and tau"
             (["hurwitz", "--s", "-0.5", "--tau", "1e300"], "s = -0.5, tau = 1e+300"),
             (["borel", "--s", "1.5", "--z", "nan"], "z must be finite"),
+            # a reference z^(1-n) zeta(n, 1/z) past the largest double
+            # reported "(34, 'Numerical result out of range')"
+            (["borel", "--n", "3", "--z", "1e-300"], "at z = 1e-300, n = 3"),
             # a zero denominator or a pole reported as `error: Fraction(1, 0)`
             (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
@@ -359,7 +427,7 @@ class TestExitCodes:
             "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
             "zetaQ2-closed-alpha-inf", "hurwitz-s-nan", "hurwitz-tau-nan",
             "r42-kappa-nan", "rkj-kappa-inf", "partition-t-nan", "quasi-partition-t-nan",
-            "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan",
+            "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan", "borel-reference-overflow",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
             "mellin-qho-tau-below", "mellin-qho-tau-at", "mellin-qho-tau-nan",

@@ -66,6 +66,40 @@ class TestPadicArithmetic:
         with pytest.raises(PrecisionExhausted):
             _ = x - y
 
+    def test_zero_keeps_the_absolute_precision_of_its_operands(self):
+        # x = 7/125 has valuation -3 and 10 digits: it is known modulo 5^7
+        x, w = Padic.from_rational(F(7, 125), 5, 10), Padic.from_rational(F(3, 4), 5, 10)
+        zero = x - x
+        assert zero.is_zero() and zero.val + zero.prec == 7
+        assert zero.expansion_str() == "O(5^7)"
+        assert zero.to_dict() == {"p": 5, "valuation": None, "digits": [0] * 7, "precision": 7}
+        with pytest.raises(PrecisionExhausted):
+            zero.reduce_mod(8)
+        assert zero.reduce_mod(7) == 0
+        # both orders of the sum certify the same 7 digits
+        assert zero + w == w + zero == (x + w) - x
+        assert (zero + w).prec == 7
+        # 0 * x is known modulo 5^10 * 5^-3
+        product = Padic.from_rational(0, 5, 10) * x
+        assert product.is_zero() and product.val + product.prec == 7
+        assert x * Padic.from_rational(0, 5, 10) == product
+
+    def test_adding_a_zero_cuts_to_the_joint_absolute_precision(self):
+        zero = Padic.from_rational(0, 5, 6)
+        x = Padic.from_rational(F(7, 3), 5, 10)
+        assert zero + x == Padic(5, 0, x.unit % 5**6, 6)
+        # a term wholly below the zero's precision leaves the zero
+        small = Padic.from_rational(5**8, 5, 10)
+        assert zero + small == zero == small + zero
+        # of two zeros, the sum is the less precise one
+        coarse = Padic(5, -2, 0, 5)
+        assert zero + coarse == coarse == coarse + zero
+        # fewer than four certified digits left is exhausted, in either order
+        with pytest.raises(PrecisionExhausted):
+            _ = zero + Padic.from_rational(125, 5, 10)
+        with pytest.raises(PrecisionExhausted):
+            _ = Padic.from_rational(125, 5, 10) + zero
+
     def test_even_prime_rejected(self):
         with pytest.raises(ValueError):
             Padic.from_rational(F(1, 3), 2, 5)
