@@ -3,14 +3,14 @@ reproducible batch job.
 
 Exit codes: 0 all checks passed / value computed, 1 a verification reported
 a mismatch, 2 usage or input error, 3 a computation did not reach its
-certified accuracy.  Output formats: json (sorted keys), csv (traces),
-plain.  Handlers return result records, and ``_jsonify`` is the one
-serializer: a record is written as all of its fields, so each op
-has one key set whatever the input, and every rational is a "num/den"
-string ("2" when integral).  With a fixed --seed, exact jobs are
-byte-identical across runs and stochastic jobs are identical too
-(counter-based streams); --no-meta strips the run metadata block (version,
-timestamp) so outputs can be compared bytewise.
+certified accuracy.  Output formats: json (sorted keys), csv (flat rows,
+such as traces; a nested value exits 2), plain.  Handlers return result
+records, and ``_jsonify`` is the one serializer: a record is written as all
+of its fields, so each op has one key set whatever the input, and every
+rational is a "num/den" string ("2" when integral).  With a fixed --seed,
+exact jobs are byte-identical across runs and stochastic jobs are identical
+too (counter-based streams); --no-meta strips the run metadata block
+(version, timestamp) so outputs can be compared bytewise.
 """
 
 from __future__ import annotations
@@ -97,11 +97,15 @@ def emit(report, fmt: str, meta: bool) -> None:
         json.dump(payload, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif fmt == "csv":
-        import csv
-
         rows = payload if isinstance(payload, list) else payload.get("rows", [payload])
+        for row in rows:
+            for k, v in row.items():
+                if isinstance(v, (dict, list)):
+                    raise ValueError(f"--format csv writes flat rows, and field {k!r} is nested")
         if not rows:
             return
+        import csv
+
         writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
@@ -390,7 +394,7 @@ def _cmd_mellin_zeta(args):
         if 0.5 + args.tau <= 0:
             raise spectra.NonIntegrable(f"tau = {args.tau} is not above -1/2, minus the ground state")
         val = spectra.spectral_zeta_mellin(_qho_partition, args.s, args.tau)
-        ref = float(specval.hurwitz_zeta_num(args.s, 0.5 + args.tau))
+        ref = specval.hurwitz_zeta_num(args.s, 0.5 + args.tau)
     else:
         spec = _spectrum(args, "qrm")
         # before the integral: refuses a tau at which both diverge
@@ -839,6 +843,9 @@ def run(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         emit(report, args.format, meta=not args.no_meta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

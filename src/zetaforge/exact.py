@@ -1,12 +1,11 @@
 """Exact rational arithmetic backbone.
 
 Bernoulli numbers and polynomials, Hurwitz zeta values at non-positive
-integers, generalized binomials, Pochhammer symbols, and reduction of
-rationals modulo odd prime powers.  Everything here is computed in
-``fractions.Fraction`` (eagerly normalized, positive denominator) so the
-congruence machinery built on top stays well defined; the one float is the
-quasi-partition series summed from those exact values, kept here so that
-its command loads no float module.
+integers, and reduction of rationals modulo odd prime powers.  Everything
+here is computed in ``fractions.Fraction`` (eagerly normalized, positive
+denominator) so the congruence machinery built on top stays well defined;
+the one float is the quasi-partition series summed from those exact
+values, kept here so that its command loads no float module.
 """
 
 from __future__ import annotations
@@ -16,19 +15,15 @@ from fractions import Fraction
 from math import comb, factorial, fsum, isfinite
 from typing import Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 
 __all__ = [
-    "Rat",
     "DenominatorNotInvertible",
     "bernoulli_number",
     "bernoulli_poly",
     "hurwitz_zeta_nonpos",
     "quasi_partition",
     "qho_quasi_partition_values",
-    "binom_general",
-    "pochhammer",
     "rational_mod_prime_power",
     "padic_valuation",
 ]
@@ -146,31 +141,6 @@ def qho_quasi_partition_values(K: int) -> list:
     if K < 0:
         raise ValueError("K must be non-negative")
     return [hurwitz_zeta_nonpos(k, Fraction(1, 2)) for k in range(K + 1)]
-
-
-def binom_general(a: RatLike, k: int) -> Fraction:
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a."""
-    if k < 0:
-        raise ValueError("lower index must be non-negative")
-    a = Fraction(a)
-    num = Fraction(1)
-    for i in range(k):
-        num *= a - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return num / den
-
-
-def pochhammer(a: RatLike, n: int) -> Fraction:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise ValueError("Pochhammer index must be non-negative")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
 
 
 def _is_odd_prime(p: int) -> bool:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import Record, Uncertified
-from ._quad import _half_line, quad
+from ._quad import quad
 from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
 
@@ -250,33 +250,49 @@ def _certify(err: float, tol: float, z: float) -> None:
         raise QuadratureFailure(msg)
 
 
-def _laplace_low(B: Callable[[float], float], z: float, T: float) -> tuple:
-    """(1/z) int_0^T e^{-t/z} B(t) dt as int e^{-u} B(z u) du in u = t/z, over
-    u <= min(T/z, 745), with its error estimate: the mass sits at u ~ 1 for
-    every z, and past u = 745 the weight e^{-u} has underflowed to zero."""
-    return quad(lambda u: math.exp(-u) * B(z * u), 0.0, min(T / z, 745.0), epsabs=1e-12)
+def _laplace(B: Callable[[float], float], z: float, lo: float, hi: float) -> tuple:
+    """(1/z) int_lo^hi e^{-t/z} B(t) dt as int e^{-u} B(z u) du in u = t/z, over
+    lo/z <= u <= min(hi/z, 745), with its error estimate: past u = 745 the
+    weight e^{-u} has underflowed to zero.  u is scaled so that the weight's
+    mass sits at u ~ 1 for every z; B must vary on one scale over the piece."""
+    a, b = lo / z, min(hi / z, 745.0)
+    if not a < b:
+        return 0.0, 0.0
+    return quad(lambda u: math.exp(-u) * B(z * u), a, b, epsabs=1e-12)
+
+
+# breakpoints in t of the Laplace integral of the Borel transform B.  Past
+# t = 46, e^{-t} < 1.1e-20, so B's exponential terms are below rounding and
+# B(t) = t: the last piece varies only through the weight, on the scale z.
+# Below, those terms decay on the scale 1.  quad may stop a piece at a
+# relative estimate of 1.49e-8, above the 1e-8 tolerance when the piece
+# holds most of the sum (one piece over [1, 46] did so at n = 5, z = 2);
+# pieces that double in length keep each estimate well below it.
+_PIECES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 46.0, math.inf)
 
 
 def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     """Borel sum (1/z) int_0^inf e^{-t/z} B(t) dt against the reference
-    z^{1-n} zeta(n, 1/z) at a tolerance of 1e-8 max(1, |reference|): t <= 1
-    by ``_laplace_low``, t >= 1 by the half-line map."""
+    z^{1-n} zeta(n, 1/z) at a tolerance of 1e-8 max(1, |reference|), by
+    ``_laplace`` over the pieces of ``_PIECES``.  Where z^{1-n} overflows
+    (z below about 10^{-308/(n-1)}), the reference is the Euler-Maclaurin
+    expansion 1/(n-1) + z/2, whose next term n z^2/12 is below rounding
+    there.  Past z^n of about 1e308, zeta(n, 1/z) is not a double, and the
+    reference raises ValueError."""
     if n < 2:
         raise ValueError("need n >= 2")
     _check_z(z)
     try:
-        reference = z ** (1 - n) * float(hurwitz_zeta_num(n, 1.0 / z))
-    except OverflowError:  # z ** (1 - n) past the largest double at a tiny z
-        msg = f"z^(1-n) zeta(n, 1/z) is not a finite double at z = {z:g}, n = {n}"
-        raise ValueError(msg) from None
+        reference = z ** (1 - n) * hurwitz_zeta_num(n, 1.0 / z)
+    except OverflowError:
+        reference = 1.0 / (n - 1) + z / 2.0
 
     B = functools.partial(borel_transform_hurwitz, n)
-    low, err_low = _laplace_low(B, z, 1.0)
-    high, err_high = quad(_half_line(B, 1.0 / z), 0.0, 1.0, epsabs=1e-12)
-    if not (math.isfinite(low) and math.isfinite(high)):
+    pieces = [_laplace(B, z, lo, hi) for lo, hi in zip(_PIECES, _PIECES[1:])]
+    value = sum(v for v, _ in pieces)
+    if not math.isfinite(value):
         raise QuadratureFailure("Laplace integral diverged")
-    value = low + high / z
-    qerr = err_low + err_high / z
+    qerr = sum(e for _, e in pieces)
     tol = 1e-8 * max(1.0, abs(reference))
     _certify(qerr, tol, z)
     return BorelReport(
@@ -318,7 +334,7 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
     def g(x: float) -> float:
         if x <= 0.0:
             return z
-        return float(hurwitz_zeta_num(2, 1.0 / (x * z))) / x
+        return hurwitz_zeta_num(2, 1.0 / (x * z)) / x
 
     a, b = s - 1.0, 2.0 - s
 
@@ -338,11 +354,11 @@ def _borel_sum_fractional_xroute(s: float, z: float) -> tuple:
 
 
 def _borel_sum_fractional_laplace(s: float, z: float) -> tuple:
-    """(1/z) int_0^T e^{-t/z} B_s(t) dt by ``_laplace_low``, with T below the
+    """(1/z) int_0^T e^{-t/z} B_s(t) dt by ``_laplace``, with T below the
     2 pi convergence radius of the series branch; the truncated tail
     e^{-T/z} |B_s(T)| is reported as error."""
     T = min(5.0, max(1.0, 30.0 * z))
-    val, err = _laplace_low(lambda t: _borel_series(s, t), z, T)
+    val, err = _laplace(lambda t: _borel_series(s, t), z, 0.0, T)
     return val, err + math.exp(-T / z) * abs(_borel_series(s, T))
 
 

@@ -74,7 +74,6 @@ __all__ = [
     "spectral_zeta_direct",
     "rabi_bernoulli_exact",
     "rabi_bernoulli_numeric",
-    "derivative_relation_check",
 ]
 
 
@@ -704,7 +703,7 @@ def spectral_zeta_direct(
 
     def zeta_tail(mult: int, first: float, gap: float) -> float:
         # mult * sum_{m>=0} (first + m*gap + tau)^{-s}
-        return mult * gap**-s * float(hurwitz_zeta_num(s, (first + tau) / gap))
+        return mult * gap**-s * hurwitz_zeta_num(s, (first + tau) / gap)
 
     value, half = _tail_bracket(spec, head, zeta_tail)
     return value, half + error
@@ -787,34 +786,3 @@ def rabi_bernoulli_numeric(
     est2 = (-1.0) ** k * math.factorial(k) * float(coef2[k] / scale**k)
     return est, abs(est - est2) + resid
 
-
-def derivative_relation_check(
-    zeta_fn: Callable[[float, float], float],
-    s: float,
-    n: int,
-    tau: float,
-    h: float = 1e-2,
-) -> dict:
-    """Central-difference d^n/dtau^n zeta(s; tau) against the analytic
-    (-1)^n (s)_n zeta(s+n; tau); zeta_fn(s, tau) supplies the values."""
-    if n == 0:
-        lhs = zeta_fn(s, tau)
-        rhs = lhs
-    elif n == 1:
-        lhs = (zeta_fn(s, tau + h) - zeta_fn(s, tau - h)) / (2 * h)
-        rhs = -s * zeta_fn(s + 1, tau)
-    elif n == 2:
-        lhs = (
-            zeta_fn(s, tau + h) - 2 * zeta_fn(s, tau) + zeta_fn(s, tau - h)
-        ) / (h * h)
-        rhs = s * (s + 1) * zeta_fn(s + 2, tau)
-    else:
-        raise ValueError("finite differences implemented for n <= 2")
-    return {
-        "s": s,
-        "n": n,
-        "tau": tau,
-        "finite_difference": lhs,
-        "analytic": rhs,
-        "abs_error": abs(lhs - rhs),
-    }

@@ -13,10 +13,9 @@ inside the cube integrals only, so the scalar routines load neither.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import FrozenRecord, Record
 from .exact import bernoulli_number, hurwitz_zeta_nonpos
@@ -102,39 +101,30 @@ class QuadratureResult(Record):
 _EM_CORRECTIONS = 10
 
 
-def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | float:
-    """zeta(s, tau) = sum_{n>=0} (n+tau)^{-s} by Euler-Maclaurin.
+def hurwitz_zeta_num(s: float, tau: float) -> float:
+    """zeta(s, tau) = sum_{n>=0} (n+tau)^{-s} by Euler-Maclaurin, for real s.
 
     Head sum of M = max(20, ceil|s|+20) terms, trapezoidal endpoint, and 10
     Bernoulli tail corrections; this expression continues the sum to s != 1.
-    Absolute error is ~1e-12 or better for |s| <= 10, tau >= 1/4 and
-    Re(s) >= 0.  Integer s <= 0 is routed through the exact Bernoulli value
+    Absolute error is ~1e-12 or better for 0 <= s <= 10 and tau >= 1/4.
+    Integer s <= 0 is routed through the exact Bernoulli value
     -B_{k+1}(tau)/(k+1) (the continuation in closed form).  Non-integer
-    Re(s) < 0 is cancellation-limited: the head terms grow like M^{|s|},
-    so the absolute error floor is about M^{|s|+1} * 1e-16.
+    s < 0 is cancellation-limited: the head terms grow like M^{|s|}, so the
+    absolute error floor is about M^{|s|+1} * 1e-16.
     """
-    s = complex(s)
-    if not (cmath.isfinite(s) and math.isfinite(tau)):
+    s = float(s)
+    if not (math.isfinite(s) and math.isfinite(tau)):
         raise ValueError("s and tau must be finite")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if s == 1:
         raise PoleAtOne("zeta(s, tau) has its pole at s = 1")
-    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
-        return float(hurwitz_zeta_nonpos(int(-s.real), Fraction(tau)))
-    if terms is not None:
-        M = terms
-    elif s.real < 0:
-        M = 8
-    else:
-        M = max(20, int(math.ceil(abs(s))) + 20)
+    if s <= 0 and s == int(s):
+        return float(hurwitz_zeta_nonpos(int(-s), Fraction(tau)))
+    M = 8 if s < 0 else max(20, int(math.ceil(abs(s))) + 20)
     x = M + tau
-    if s.imag == 0:
-        s = s.real  # a complex power of x overflows from about x = 1e154
     try:
-        head = math.fsum((n + tau) ** (-s.real) for n in range(M)) if s.imag == 0 else sum(
-            (n + tau) ** (-s) for n in range(M)
-        )
+        head = math.fsum((n + tau) ** -s for n in range(M))
         tail = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
         poch = s  # (s)_{2j-1} built up incrementally
         xpow = x ** (-s - 1)
@@ -147,11 +137,9 @@ def hurwitz_zeta_num(s, tau: float, terms: Optional[int] = None) -> complex | fl
         val = head + tail + corr
     except OverflowError:
         val = math.inf
-    if not cmath.isfinite(val):
-        # for Re(s) < 0 the value grows like tau^{1-s}: past a double
+    if not math.isfinite(val):
+        # for s < 0 the value grows like tau^{1-s}: past a double
         raise ValueError(f"zeta(s, tau) is not a finite double at s = {s}, tau = {tau}")
-    if val.imag == 0:
-        return val.real
     return val
 
 
@@ -187,7 +175,7 @@ def hyp2f1_quarter(x: float) -> float:
 
 def _hz_half(k: int) -> float:
     """zeta(k, 1/2) = (2^k - 1) zeta(k)."""
-    return float(hurwitz_zeta_num(k, 0.5))
+    return hurwitz_zeta_num(k, 0.5)
 
 
 def r_k1_series(k: int, kappa: float, n_max: int) -> Tuple[float, float]:

@@ -115,6 +115,23 @@ class TestTraceOutputs:
         assert lines[0] == "k,term,partial_sum"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["verify-all"], "'checks'"),
+            (["qrm-spectrum", "--g", "0.3", "--delta", "0.5", "--n-basis", "64", "--count", "3"],
+             "'eigenvalues'"),
+        ],
+        ids=["verify-all", "qrm-spectrum"],
+    )
+    def test_csv_refuses_a_nested_report(self, argv, field, capsys):
+        # a list or dict was written as its Python repr in one cell
+        code = cli.run(["--no-meta", "--format", "csv", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+
     def test_padic_divergence(self):
         code, out = run_cli(
             "--no-meta", "divergence", "--n", "2", "--tau", "1/5", "--K", "14",
@@ -278,8 +295,15 @@ class TestExitCodes:
             ["borel", "--n", "2", "--z", "1e-8"],
             # ... and at fractional order the reference read 4e-45 against 2
             ["borel", "--s", "1.5", "--z", "1e-5"],
+            # z^(1-n) overflowed, and the command exited 2 for a sum it
+            # resolves; the reference is now 1/(n-1) + z/2
+            ["borel", "--n", "3", "--z", "1e-155"],
+            ["borel", "--n", "3", "--z", "1e-300"],
+            ["borel", "--n", "4", "--z", "1e-155"],
+            ["borel", "--n", "4", "--z", "1e-300"],
         ],
-        ids=["integer-z-1e-8", "fractional-z-1e-5"],
+        ids=["integer-z-1e-8", "fractional-z-1e-5", "n3-z-1e-155", "n3-z-1e-300",
+             "n4-z-1e-155", "n4-z-1e-300"],
     )
     def test_borel_small_z_agrees(self, argv, capsys):
         code = cli.run(["--no-meta", *argv])
@@ -391,9 +415,8 @@ class TestExitCodes:
             # out of range')", and a NaN z was called "s and tau"
             (["hurwitz", "--s", "-0.5", "--tau", "1e300"], "s = -0.5, tau = 1e+300"),
             (["borel", "--s", "1.5", "--z", "nan"], "z must be finite"),
-            # a reference z^(1-n) zeta(n, 1/z) past the largest double
-            # reported "(34, 'Numerical result out of range')"
-            (["borel", "--n", "3", "--z", "1e-300"], "at z = 1e-300, n = 3"),
+            # a reference zeta(n, 1/z) past the largest double, at z^n > 1e308
+            (["borel", "--n", "3", "--z", "1e105"], "tau = 1e-105"),
             # a zero denominator or a pole reported as `error: Fraction(1, 0)`
             (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),

@@ -17,9 +17,7 @@ from zetaforge.exact import (
     DenominatorNotInvertible,
     bernoulli_number,
     bernoulli_poly,
-    binom_general,
     hurwitz_zeta_nonpos,
-    pochhammer,
     rational_mod_prime_power,
 )
 
@@ -121,32 +119,6 @@ class TestHurwitzNonpositive:
             lhs = hurwitz_zeta_nonpos(k, Fraction(1, 2))
             rhs = (Fraction(1, 2**k) - 1) * (-bernoulli_number(k + 1) / (k + 1))
             assert lhs == rhs, k
-
-
-class TestBinomPochhammer:
-    def test_binom_examples(self):
-        assert binom_general(Fraction(-1, 2), 1) == Fraction(-1, 2)
-        assert binom_general(Fraction(-1, 2), 2) == Fraction(3, 8)
-        for n in range(8):
-            for k in range(n + 1):
-                assert binom_general(n, k) == comb(n, k)
-
-    def test_half_integer_binomial_closed_form(self):
-        # C(-1/2, k) = (-1)^k C(2k, k) / 4^k
-        for k in range(30):
-            assert binom_general(Fraction(-1, 2), k) == Fraction(
-                (-1) ** k * comb(2 * k, k), 4**k
-            )
-
-    def test_pochhammer_examples(self):
-        assert pochhammer(1, 3) == 6
-        assert pochhammer(Fraction(3, 2), 2) == Fraction(15, 4)
-        assert pochhammer(Fraction(5, 7), 0) == 1
-
-    @given(a=rationals, m=st.integers(0, 8), n=st.integers(0, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_pochhammer_additivity(self, a, m, n):
-        assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
 
 class TestRationalMod:

@@ -310,16 +310,13 @@ class TestDivergenceLedger:
         assert norm.val == 1
 
     def test_binomial_bridge_identity(self):
-        # (1/(s-1)) C(1-s, k) = (-1)^k (k+s-2)!/(k! (s-1)!), integer s >= 2
-        import math
-
-        from zetaforge.exact import binom_general
+        # B_k C(1-s, k)/(s-1) is the formal-series coefficient
+        # (-1)^k B_k (k+s-2)!/(k! (s-1)!), integer s >= 2: the p-adic
+        # series' binomials and the real series' coefficients agree
+        from zetaforge.exact import _fps_coeff, bernoulli_number
 
         for s in range(2, 8):
+            binom = F(1)  # C(1-s, k), as a falling product over k!
             for k in range(41):
-                lhs = binom_general(1 - s, k) / (s - 1)
-                rhs = F(
-                    (-1) ** k * math.factorial(k + s - 2),
-                    math.factorial(k) * math.factorial(s - 1),
-                )
-                assert lhs == rhs
+                assert bernoulli_number(k) * binom / (s - 1) == _fps_coeff(k, s), (s, k)
+                binom *= F(1 - s - k, k + 1)

@@ -265,6 +265,17 @@ class TestBorelSum:
             rep = borel_sum_hurwitz(2, z)
             assert abs(rep.borel_sum - 1.0) < z  # 1 + z/2 + O(z^2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("z", [1e3, 1e6, 1e9, 1e12])
+    def test_large_z_estimate_covers_the_error(self, n, z):
+        # the weight e^{-t/z} has its mass at t ~ z: one map of [1, inf)
+        # onto [0, 1] read 999999987.22 at n = 2, z = 1e9, with an estimate
+        # of 2.2 against an error of 12.8, and raised at z = 1e12
+        rep = borel_sum_hurwitz(n, z)
+        true = z + z ** (1 - n) * specval.hurwitz_zeta_num(n, 1.0 + 1.0 / z)
+        assert abs(rep.borel_sum - true) <= rep.quadrature_error <= rep.tolerance
+        assert rep.agreement
+
     def test_report_schema(self):
         d = cli._jsonify(borel_sum_hurwitz(2, 0.5))
         assert set(d) >= {

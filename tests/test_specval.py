@@ -9,7 +9,7 @@ import pytest
 
 from zetaforge import specval
 from zetaforge.aperynum import aperylike_J
-from zetaforge.exact import binom_general, hurwitz_zeta_nonpos
+from zetaforge.exact import hurwitz_zeta_nonpos
 from zetaforge.specval import (
     APPENDIX_AB_EXACT,
     NchoParams,
@@ -66,16 +66,13 @@ class TestHurwitzNumeric:
                 num = hurwitz_zeta_num(-k, float(tau))
                 assert abs(num - float(hurwitz_zeta_nonpos(k, tau))) < 1e-12
 
-    def test_doubling_M_stability(self):
+    def test_shift_identity_moves_the_split(self):
+        # zeta(s, tau) = sum_{j<30} (tau + j)^{-s} + zeta(s, tau + 30): the
+        # right side puts 30 more terms in the head and starts the
+        # Euler-Maclaurin tail 30 further out
         for s, tau in ((2.5, 0.7), (6.0, 0.3), (3.0, 2.2)):
-            a = hurwitz_zeta_num(s, tau, terms=25)
-            b = hurwitz_zeta_num(s, tau, terms=50)
-            assert abs(a - b) < 1e-12
-
-    def test_complex_argument(self):
-        v = hurwitz_zeta_num(2 + 1j, 1.0)
-        w = hurwitz_zeta_num(2 + 1j, 2.0)
-        assert abs(v - (w + 1.0)) < 1e-12  # ladder at tau = 1
+            head = math.fsum((tau + j) ** -s for j in range(30))
+            assert abs(hurwitz_zeta_num(s, tau) - (head + hurwitz_zeta_num(s, tau + 30))) < 1e-12
 
     @pytest.mark.parametrize("tau", [1e155, 1e300])
     @pytest.mark.parametrize("s", [2, 3])
@@ -152,7 +149,7 @@ class TestRk1Series:
         total, last, kpow = 0.0, 0.0, 1.0
         for n in range(41):
             jn = sum(float(c) * basis[sym] for sym, c in aperylike_J(k, n).coeffs)
-            term = float(binom_general(Fraction(-1, 2), n)) * jn * kpow
+            term = float(Fraction((-1) ** n * math.comb(2 * n, n), 4**n)) * jn * kpow  # C(-1/2, n)
             total += term
             last = abs(term)
             kpow *= 0.25
