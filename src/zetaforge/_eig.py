@@ -72,7 +72,7 @@ _QR_ROWS = 16
 
 def _check_info(info: int, name: str) -> None:
     if info > 0:
-        raise np.linalg.LinAlgError(f"{name} did not converge (LAPACK info={info})")
+        raise NotConverged(f"{name} did not converge (LAPACK info={info})")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal {name}")
 
@@ -385,7 +385,11 @@ def certify(deep: list, section_widths: Callable[[int], list], lower: np.ndarray
     has at most ``_QR_ROWS`` rows per wanted value, else from bisection.
     The whole truncation always bisects: on the biased band its values are
     the bits of the ``_lowest`` reference.  Vectors, residuals and index
-    proofs are the same on either route."""
+    proofs are the same on either route.  The radii are checked against
+    ``threshold`` once, at the end, where NotConverged is raised: each is at
+    least the smaller of its residual and its enclosure above ``lower``, so
+    no earlier check on the whole truncation could fail where that one
+    passes."""
     # identical sectors share their eigenpairs: solve one copy of each
     copies = _copies(deep)
     deep = deep[::copies]
@@ -409,15 +413,6 @@ def certify(deep: list, section_widths: Callable[[int], list], lower: np.ndarray
         qr = M < N and band.shape[1] <= _QR_ROWS * distinct
         w, firsts, vectors = pairs(band, 1, distinct, qr)
         order = np.argsort(w, kind="stable")
-        if M == N:
-            # the highest value's radius is at least the smaller of these
-            top = order[-1:]
-            radius = _residuals(ext, spans, w, vectors(top))[0] + rounding_of(w[top[0]])
-            radius = min(radius, w[top[0]] - lower[-1] + rounding_of(w[top[0]]))
-            if radius > threshold:
-                raise NotConverged(
-                    f"max convergence estimate {radius:.3e} exceeds {threshold:.3e}"
-                )
         res = _residuals(ext, spans, w, vectors(np.arange(len(w))))[order]
         w = w[order]
         rounding = rounding_of(w)

@@ -5,7 +5,8 @@ Ueberhuber and Kahaner, *QUADPACK* (Springer, 1983): the interval with the
 largest error estimate is bisected until the summed estimate meets
 max(epsabs, 1.49e-8 |value|), roundoff stops the progress, or 200
 intervals are in use.  The integrand is called with one float at a time.
-Stopping short of the tolerance raises an ``IntegrationWarning``.
+Stopping short of the tolerance raises ``QuadratureFailure``, an
+``Uncertified`` error: no caller receives an estimate above its target.
 ``_half_line`` maps an exponentially weighted integral over [1, inf) onto
 [0, 1] for ``quad``.
 """
@@ -15,8 +16,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-import warnings
 from typing import Callable, Tuple
+
+from . import Uncertified
 
 # Kronrod nodes on [0, 1) with their weights; the odd-indexed nodes are the
 # 10-point Gauss-Legendre nodes, with weights _WG.
@@ -47,8 +49,8 @@ _EPSREL = 1.49e-8
 _LIMIT = 200
 
 
-class IntegrationWarning(UserWarning):
-    """quad stopped before its error estimate met the tolerance."""
+class QuadratureFailure(Uncertified):
+    """A quadrature stopped before its error estimate met its tolerance."""
 
 
 def _gk21(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, float]:
@@ -74,9 +76,9 @@ def _gk21(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float
 
 
 def quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> Tuple[float, float]:
-    """(value, abserr) of int_a^b f; abserr is the summed QUADPACK estimate,
-    reported as is (with an IntegrationWarning) when the tolerance could not
-    be met."""
+    """(value, abserr) of int_a^b f; abserr is the summed QUADPACK estimate.
+    Raises QuadratureFailure, naming the reason and the estimate, when the
+    tolerance cannot be met."""
     value, err, resasc = _gk21(f, a, b)
     if err == 0.0 or (err <= max(epsabs, _EPSREL * abs(value)) and err != resasc):
         return value, err
@@ -98,16 +100,19 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> Tupl
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         if errsum <= max(epsabs, _EPSREL * abs(area)):
-            break
+            return math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap)
         if iroff1 >= 6 or iroff2 >= 20:
-            warnings.warn("roundoff stops the progress", IntegrationWarning, stacklevel=2)
+            reason = "roundoff stops the progress"
             break
         if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
-            warnings.warn("the interval cannot be split further", IntegrationWarning, stacklevel=2)
+            reason = "the interval cannot be split further"
             break
     else:
-        warnings.warn(f"the limit of {_LIMIT} intervals is reached", IntegrationWarning, stacklevel=2)
-    return math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap)
+        reason = f"the limit of {_LIMIT} intervals is reached"
+    raise QuadratureFailure(
+        f"error estimate {errsum:.2e} of the integral {area:.17g} over [{a:g}, {b:g}] "
+        f"misses the tolerance {max(epsabs, _EPSREL * abs(area)):.2e}: {reason}"
+    )
 
 
 def _half_line(g: Callable[[float], float], rate: float) -> Callable[[float], float]:

@@ -165,9 +165,10 @@ def _spectrum(args, model: str):
     return solve(params, N=args.n_basis, count=args.count, threshold=args.threshold)
 
 
-def _qho_partition(t: float) -> float:
-    """Oscillator partition function Z(t) = e^{-t/2} / (1 - e^{-t})."""
-    return math.exp(-t / 2) / -math.expm1(-t)
+def _qho_partition(t: float, shift: float = 0.0) -> float:
+    """Oscillator partition function Z(t) = e^{-t/2} / (1 - e^{-t}), times
+    e^{-shift t}: the spectrum n + 1/2 + shift."""
+    return math.exp(-(0.5 + shift) * t) / -math.expm1(-t)
 
 
 def _rational(text: str, flag: str) -> Fraction:
@@ -393,7 +394,12 @@ def _cmd_mellin_zeta(args):
     if args.model == "qho":
         if 0.5 + args.tau <= 0:
             raise spectra.NonIntegrable(f"tau = {args.tau} is not above -1/2, minus the ground state")
-        val = spectra.spectral_zeta_mellin(_qho_partition, args.s, args.tau)
+        Z, tau = _qho_partition, args.tau
+        if tau < 0:
+            # the weight e^{-tau t} grows, and overflows where Z has long
+            # underflowed: taken with Z, it decays at the rate 1/2 + tau
+            Z, tau = (lambda t: _qho_partition(t, args.tau)), 0.0
+        val = spectra.spectral_zeta_mellin(Z, args.s, tau)
         ref = specval.hurwitz_zeta_num(args.s, 0.5 + args.tau)
     else:
         spec = _spectrum(args, "qrm")

@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import Record, Uncertified
-from ._quad import quad
+from . import Record
+from ._quad import QuadratureFailure, quad
 from .exact import _fps_coeff, bernoulli_number
 from .specval import hurwitz_zeta_num
 
@@ -40,10 +40,6 @@ __all__ = [
     "borel_sum_hurwitz",
     "borel_sum_complex_s",
 ]
-
-
-class QuadratureFailure(Uncertified):
-    """Laplace quadrature failed to converge."""
 
 
 class OutOfStrip(ValueError):
@@ -189,32 +185,19 @@ def _borel_series(s: float, t: float) -> float:
 
 
 def _borel_large_t(n: int, t: float) -> float:
-    """Exponential-sum branch:
+    """Exponential-sum branch, for t > 0:
     (1/(n-1)!) d^{n-2}/dt^{n-2} [ t^{n-1} / (1 - e^{-t}) ]
     with the geometric series differentiated termwise."""
     # k = 0 contributes t; k >= 1 terms decay like e^{-kt}
-    total = t
-    i_range = range(0, n - 1)  # derivative split indices
-    fact = math.factorial
-    k = 1
-    while True:
-        ekt = math.exp(-k * t)
-        if ekt < 1e-20:
-            break
+    total, k, fact = t, 1, math.factorial
+    while (ekt := math.exp(-k * t)) >= 1e-20:
         term = 0.0
-        for i in i_range:
+        for i in range(n - 1):  # derivative split indices
             # C(n-2, i) * (n-1)!/(n-1-i)! * t^{n-1-i} * (-k)^{n-2-i}
-            term += (
-                math.comb(n - 2, i)
-                * fact(n - 1)
-                // fact(n - 1 - i)
-                * t ** (n - 1 - i)
-                * (-k) ** (n - 2 - i)
-            )
+            c = math.comb(n - 2, i) * fact(n - 1) // fact(n - 1 - i)
+            term += c * t ** (n - 1 - i) * (-k) ** (n - 2 - i)
         total += term * ekt / fact(n - 1)
         k += 1
-        if k > 100000:
-            raise QuadratureFailure("exponential branch did not converge")
     return total
 
 
@@ -224,7 +207,7 @@ def borel_transform_hurwitz(n: int, t: float) -> float:
     exponential sum above (the two agree at the seam)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if t < _SEAM:
         return _borel_series(n, t)
@@ -266,19 +249,21 @@ def _laplace(B: Callable[[float], float], z: float, lo: float, hi: float) -> tup
 # B(t) = t: the last piece varies only through the weight, on the scale z.
 # Below, those terms decay on the scale 1.  quad may stop a piece at a
 # relative estimate of 1.49e-8, above the 1e-8 tolerance when the piece
-# holds most of the sum (one piece over [1, 46] did so at n = 5, z = 2);
-# pieces that double in length keep each estimate well below it.
-_PIECES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 46.0, math.inf)
+# holds most of the sum (one piece over [1, 46] did so at n = 5, z = 2, and
+# one over [0, 1] at n = 2, z = 0.0141); pieces that double in length keep
+# each estimate well below it.  For z < 1 the powers of two in (z, 1) come
+# first, where the weight's mass sits.
+_PIECES = (1.0, 2.0, 4.0, 8.0, 16.0, 46.0, math.inf)
 
 
 def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     """Borel sum (1/z) int_0^inf e^{-t/z} B(t) dt against the reference
     z^{1-n} zeta(n, 1/z) at a tolerance of 1e-8 max(1, |reference|), by
-    ``_laplace`` over the pieces of ``_PIECES``.  Where z^{1-n} overflows
-    (z below about 10^{-308/(n-1)}), the reference is the Euler-Maclaurin
-    expansion 1/(n-1) + z/2, whose next term n z^2/12 is below rounding
-    there.  Past z^n of about 1e308, zeta(n, 1/z) is not a double, and the
-    reference raises ValueError."""
+    ``_laplace`` over pieces split at ``_PIECES`` and below t = 1.
+    Where z^{1-n} overflows (z below about 10^{-308/(n-1)}), the reference
+    is the Euler-Maclaurin expansion 1/(n-1) + z/2, whose next term
+    n z^2/12 is below rounding there.  Where zeta(n, 1/z), about z^n, is
+    not a double, the reference is the ladder z + z^{1-n} zeta(n, 1 + 1/z)."""
     if n < 2:
         raise ValueError("need n >= 2")
     _check_z(z)
@@ -286,9 +271,15 @@ def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
         reference = z ** (1 - n) * hurwitz_zeta_num(n, 1.0 / z)
     except OverflowError:
         reference = 1.0 / (n - 1) + z / 2.0
+    except ValueError:
+        reference = z + z ** (1 - n) * hurwitz_zeta_num(n, 1.0 + 1.0 / z)
 
     B = functools.partial(borel_transform_hurwitz, n)
-    pieces = [_laplace(B, z, lo, hi) for lo, hi in zip(_PIECES, _PIECES[1:])]
+    # of the powers of two in (z, 1) the ten nearest z: past them u = t/z
+    # passes 745
+    p = math.frexp(z)[1]  # 2^{p-1} <= z < 2^p
+    edges = [0.0, *(math.ldexp(1.0, k) for k in range(p, min(p + 10, 0))), *_PIECES]
+    pieces = [_laplace(B, z, lo, hi) for lo, hi in zip(edges, edges[1:])]
     value = sum(v for v, _ in pieces)
     if not math.isfinite(value):
         raise QuadratureFailure("Laplace integral diverged")

@@ -641,17 +641,21 @@ def spectral_zeta_mellin(
         return m * u ** (m - 1.0) * t ** (s - 1.0) * zf(t) * math.exp(-tau * t)
 
     cut = jump ** (1.0 / m) if 0.0 < jump < 1.0 else 0.0
-    low = u0 * f_low(u0) + quad_split(f_low, u0, cut)
 
     # [1, inf) with t = 1 + u/(1-u); Z is never called where the weight
     # e^{-tau t} has underflowed to zero (shifted spectra may have a negative
     # ground state, and exp(-lam*t) would overflow at the far end of the
     # mapped interval)
     f_high = _half_line(lambda t: t ** (s - 1.0) * zf(t), tau)
-    high = quad_split(f_high, 0.0, 1.0 - 1.0 / jump if jump > 1.0 else 0.0)
+    try:
+        low = u0 * f_low(u0) + quad_split(f_low, u0, cut)
+        high = quad_split(f_high, 0.0, 1.0 - 1.0 / jump if jump > 1.0 else 0.0)
+        gamma = math.gamma(s)
+    except OverflowError:
+        raise OverflowError(f"the Mellin integral overflows at s = {s}, tau = {tau}") from None
     if not (math.isfinite(low) and math.isfinite(high)):
         raise NonIntegrable("Mellin integral did not converge")
-    return (low + high) / math.gamma(s)
+    return (low + high) / gamma
 
 
 def _check_shift(spec: SpectrumResult, tau: float) -> None:

@@ -144,28 +144,24 @@ def hurwitz_zeta_num(s: float, tau: float) -> float:
 
 
 def hyp2f1_quarter(x: float) -> float:
-    """2F1(1/4, 3/4; 1; x) for x <= 0.
+    """2F1(1/4, 3/4; 1; x) for x <= 0, in closed form:
 
-    Evaluated through the Pfaff transform (1-x)^{-1/4} 2F1(1/4,1/4;1;x/(x-1)),
-    whose argument lies in [0, 1) for every x <= 0; the transformed series is
-    summed with a 1e-16 term-ratio stop.
+    (1-x)^{-1/4} / AGM(1, sqrt((R+1)/(2R))),  R = sqrt(1-x).
+
+    The quadratic transformation 2F1(1/2,1/2;1;z) = (1+z)^{-1/2}
+    2F1(1/4,3/4;1;4z/(1+z)^2) (DLMF 15.8) at z = (1-R)/(1+R), and
+    2F1(1/2,1/2;1;z) = 1/AGM(1, sqrt(1-z)) (DLMF 19.8.5), give it.  The
+    second mean starts in [1/sqrt 2, 1], so the relative gap of the pair,
+    at most 0.29, about squares with each step: four reach rounding for
+    every x, and a fifth leaves a margin.
     """
     if x > 0:
         raise SeriesRegimeViolated("argument must be non-positive")
-    if x == 0:
-        return 1.0
-    y = x / (x - 1.0)
-    term = 1.0
-    acc = 1.0
-    n = 0
-    while True:
-        ratio = (0.25 + n) * (0.25 + n) / ((1.0 + n) * (1.0 + n)) * y
-        term *= ratio
-        acc += term
-        n += 1
-        if abs(term) < 1e-16 * abs(acc) or n > 100000:
-            break
-    return (1.0 - x) ** -0.25 * acc
+    R = math.sqrt(1.0 - x)
+    a, b = 1.0, math.sqrt((R + 1.0) / (2.0 * R))
+    for _ in range(5):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return (1.0 - x) ** -0.25 / a
 
 
 # ---------------------------------------------------------------------------

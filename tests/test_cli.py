@@ -313,6 +313,36 @@ class TestExitCodes:
         assert rep["tolerance"] <= 1e-6
 
     @pytest.mark.parametrize(
+        "n, z",
+        [("3", "1e105"), ("4", "1e105"), ("3", "1e200"), ("4", "1e200")],
+        ids=["n3-z-1e105", "n4-z-1e105", "n3-z-1e200", "n4-z-1e200"],
+    )
+    def test_borel_huge_z_agrees(self, n, z, capsys):
+        # zeta(n, 1/z) passes the largest double, and the command exited 2;
+        # the reference is now the ladder z + z^(1-n) zeta(n, 1 + 1/z)
+        code = cli.run(["--no-meta", "borel", "--n", n, "--z", z])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rep["agreement"] is True
+        assert abs(rep["borel_sum"] - float(z)) <= rep["quadrature_error"] <= rep["tolerance"]
+
+    def test_lapack_non_convergence_exits_three(self, monkeypatch, capsys):
+        # a LAPACK routine that reports info > 0 did not converge: exit 3,
+        # not the exit 2 of an input error
+        from zetaforge import _eig
+
+        dstebz = _eig._flapack.dstebz
+        monkeypatch.setattr(_eig._flapack, "dstebz", lambda *args: (*dstebz(*args)[:-1], 1))
+        code = cli.run([
+            "--no-meta", "ncho-spectrum", "--alpha", "2", "--beta", "1",
+            "--n-basis", "64", "--count", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: NotConverged: dstebz did not converge (LAPACK info=1)\n"
+
+    @pytest.mark.parametrize(
         "z",
         [
             # the truncated Laplace tail, about 2.6e-4, widened the tolerance
@@ -415,8 +445,6 @@ class TestExitCodes:
             # out of range')", and a NaN z was called "s and tau"
             (["hurwitz", "--s", "-0.5", "--tau", "1e300"], "s = -0.5, tau = 1e+300"),
             (["borel", "--s", "1.5", "--z", "nan"], "z must be finite"),
-            # a reference zeta(n, 1/z) past the largest double, at z^n > 1e308
-            (["borel", "--n", "3", "--z", "1e105"], "tau = 1e-105"),
             # a zero denominator or a pole reported as `error: Fraction(1, 0)`
             (["bernoulli", "--k", "3", "--poly-x", "1/0"], "--poly-x"),
             (["divergence", "--n", "2", "--tau", "1/0"], "--tau"),
@@ -440,6 +468,10 @@ class TestExitCodes:
              "s must be finite, got nan"),
             (["mellin-zeta", "--model", "qho", "--s", "inf", "--tau", "1"],
              "s must be finite, got inf"),
+            # t^(s-1) overflowed a double, reported as "(34, 'Numerical result
+            # out of range')"
+            (["mellin-zeta", "--model", "qho", "--s", "150", "--tau", "5"],
+             "s = 150.0, tau = 5.0"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -450,11 +482,11 @@ class TestExitCodes:
             "ncho-count-above-2N", "qrm-count-above-2N", "qrm-g-inf", "qrm-eps-nan",
             "zetaQ2-closed-alpha-inf", "hurwitz-s-nan", "hurwitz-tau-nan",
             "r42-kappa-nan", "rkj-kappa-inf", "partition-t-nan", "quasi-partition-t-nan",
-            "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan", "borel-reference-overflow",
+            "quasi-partition-t-inf", "hurwitz-overflow", "borel-z-nan",
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
             "mellin-qho-tau-below", "mellin-qho-tau-at", "mellin-qho-tau-nan",
-            "mellin-qho-s-nan", "mellin-qho-s-inf",
+            "mellin-qho-s-nan", "mellin-qho-s-inf", "mellin-qho-overflow",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):
@@ -523,6 +555,18 @@ class TestSpectrumCommands:
         rep = json.loads(out)
         assert code == 0
         assert rep["residue_formula"] == specval.NchoParams(2.5, 0.6).residue
+
+    @pytest.mark.parametrize("s", ["1.5", "2", "3"])
+    @pytest.mark.parametrize("tau", ["-0.1", "-0.3", "-0.45"])
+    def test_mellin_qho_below_zero_tau_agrees(self, s, tau):
+        # for tau in (-1/2, 0) the weight e^{-tau t} grows: it overflowed
+        # far out, where Z had underflowed, and the command reported "math
+        # range error"
+        code, out = run_cli("--no-meta", "mellin-zeta", "--model", "qho", "--s", s, "--tau", tau)
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["direct_reference"] == specval.hurwitz_zeta_num(float(s), 0.5 + float(tau))
+        assert rep["abs_error"] <= 1e-10 * rep["direct_reference"]
 
     def test_mellin_zeta_keeps_its_threshold(self):
         # the largest radius of this solve lies between the 1e-8 that the

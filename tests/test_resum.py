@@ -276,6 +276,17 @@ class TestBorelSum:
         assert abs(rep.borel_sum - true) <= rep.quadrature_error <= rep.tolerance
         assert rep.agreement
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_small_z_estimate_within_tolerance_and_covers_the_error(self, n):
+        # below z = 1 the piece t <= 1 held the whole sum, and quad may stop
+        # it at a relative 1.49e-8: at n = 2, z = 0.0141254 the estimate read
+        # 1.11e-8 against the tolerance 1e-8
+        for i in range(120):
+            z = 10.0 ** (-3.0 + 3.0 * i / 119)
+            rep = borel_sum_hurwitz(n, z)
+            assert abs(rep.borel_sum - rep.reference_value) <= rep.quadrature_error <= rep.tolerance, z
+            assert rep.agreement
+
     def test_report_schema(self):
         d = cli._jsonify(borel_sum_hurwitz(2, 0.5))
         assert set(d) >= {

@@ -106,9 +106,31 @@ class TestHyp2F1Quarter:
         assert hyp2f1_quarter(0.0) == 1.0
 
     def test_outside_unit_disc_converges(self):
-        # the Pfaff-transformed series still converges for x <= -1
         v = hyp2f1_quarter(-2.0)
         assert 0.5 < v < 1.0
+
+    @staticmethod
+    def connection_formula(x, terms=20):
+        # DLMF 15.8.2 at a = 1/4, b = 3/4, c = 1: two gamma-weighted series
+        # in w = 1/x, each term from the last by its ratio
+        def series(a, b, c, w):
+            term, total = 1.0, 0.0
+            for k in range(terms):
+                total += term
+                term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * w
+            return total
+
+        g = math.gamma
+        first = g(0.5) / g(0.75) ** 2 * (-x) ** -0.25 * series(0.25, 0.25, 0.5, 1.0 / x)
+        second = g(-0.5) / g(0.25) ** 2 * (-x) ** -0.75 * series(0.75, 0.75, 1.5, 1.0 / x)
+        return first + second
+
+    @pytest.mark.parametrize("x", [-1e4, -1e6, -1e8, -1e12])
+    def test_large_argument_against_the_connection_formula(self, x):
+        # the Pfaff series stopped at 100000 terms without saying so: off by
+        # 8.1e-10 at x = -1e4 and by 3.9e-4 at -1e8
+        ref = self.connection_formula(x)
+        assert abs(hyp2f1_quarter(x) - ref) <= 1e-13 * ref
 
     def test_rejects_positive(self):
         with pytest.raises(SeriesRegimeViolated):
