@@ -7,8 +7,10 @@ max(epsabs, 1.49e-8 |value|), roundoff stops the progress, or 200
 intervals are in use.  The integrand is called with one float at a time.
 Stopping short of the tolerance raises ``QuadratureFailure``, an
 ``Uncertified`` error: no caller receives an estimate above its target.
-``_half_line`` maps an exponentially weighted integral over [1, inf) onto
-[0, 1] for ``quad``.
+Callers map a half-line onto a finite interval themselves:
+``spectra.spectral_zeta_mellin`` forms its integrand in log space, and
+``resum._laplace`` integrates in u = t/z up to u = 745, where e^{-u}
+underflows.
 """
 
 from __future__ import annotations
@@ -114,19 +116,3 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> Tupl
         f"misses the tolerance {max(epsabs, _EPSREL * abs(area)):.2e}: {reason}"
     )
 
-
-def _half_line(g: Callable[[float], float], rate: float) -> Callable[[float], float]:
-    """The integrand on [0, 1] of int_1^inf g(t) e^{-rate t} dt under the map
-    t = 1 + u/(1-u), dt = du/(1-u)^2.  Where rate t >= 745 the weight
-    e^{-rate t} has underflowed to zero, and the integrand is 0 there without
-    calling g, so a g that overflows far out is never evaluated."""
-
-    def f(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        t = 1.0 + u / (1.0 - u)
-        if rate * t >= 745.0:
-            return 0.0
-        return g(t) * math.exp(-rate * t) / (1.0 - u) ** 2
-
-    return f

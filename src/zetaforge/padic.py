@@ -112,10 +112,6 @@ class Padic(FrozenRecord):
     def is_zero(self) -> bool:
         return self.unit == 0
 
-    @property
-    def valuation(self) -> Optional[int]:
-        return None if self.is_zero() else self.val
-
     def digits(self, count: Optional[int] = None) -> list:
         n = self.unit
         count = count if count is not None else self.prec

@@ -245,21 +245,24 @@ def _laplace(B: Callable[[float], float], z: float, lo: float, hi: float) -> tup
 
 
 # breakpoints in t of the Laplace integral of the Borel transform B.  Past
-# t = 46, e^{-t} < 1.1e-20, so B's exponential terms are below rounding and
-# B(t) = t: the last piece varies only through the weight, on the scale z.
-# Below, those terms decay on the scale 1.  quad may stop a piece at a
-# relative estimate of 1.49e-8, above the 1e-8 tolerance when the piece
-# holds most of the sum (one piece over [1, 46] did so at n = 5, z = 2, and
-# one over [0, 1] at n = 2, z = 0.0141); pieces that double in length keep
-# each estimate well below it.  For z < 1 the powers of two in (z, 1) come
+# T = 20 ln 10, e^{-t} < 1e-20: _borel_large_t's exponential terms are
+# empty, B(t) = t, and the integral from T on is e^{-T/z} (T + z).  Below,
+# those terms decay on the scale 1.  quad may stop a piece at a relative
+# estimate of 1.49e-8, above the 1e-8 tolerance when the piece holds most
+# of the sum (one piece over [1, 46] did so at n = 5, z = 2, and one over
+# [0, 1] at n = 2, z = 0.0141); pieces that double in length keep each
+# estimate well below it.  For z < 1 the powers of two in (z, 1) come
 # first, where the weight's mass sits.
-_PIECES = (1.0, 2.0, 4.0, 8.0, 16.0, 46.0, math.inf)
+_T = 20.0 * math.log(10.0)
+_PIECES = (1.0, 2.0, 4.0, 8.0, 16.0, _T)
 
 
 def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     """Borel sum (1/z) int_0^inf e^{-t/z} B(t) dt against the reference
     z^{1-n} zeta(n, 1/z) at a tolerance of 1e-8 max(1, |reference|), by
-    ``_laplace`` over pieces split at ``_PIECES`` and below t = 1.
+    ``_laplace`` over pieces split at ``_PIECES`` and below t = 1, and in
+    closed form past ``_T``, where B(t) = t; that form's rounding, a few
+    ulps of its value, is part of the quadrature error.
     Where z^{1-n} overflows (z below about 10^{-308/(n-1)}), the reference
     is the Euler-Maclaurin expansion 1/(n-1) + z/2, whose next term
     n z^2/12 is below rounding there.  Where zeta(n, 1/z), about z^n, is
@@ -280,10 +283,9 @@ def borel_sum_hurwitz(n: int, z: float) -> BorelReport:
     p = math.frexp(z)[1]  # 2^{p-1} <= z < 2^p
     edges = [0.0, *(math.ldexp(1.0, k) for k in range(p, min(p + 10, 0))), *_PIECES]
     pieces = [_laplace(B, z, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    value = sum(v for v, _ in pieces)
-    if not math.isfinite(value):
-        raise QuadratureFailure("Laplace integral diverged")
-    qerr = sum(e for _, e in pieces)
+    tail = math.exp(-_T / z) * (_T + z)
+    value = sum(v for v, _ in pieces) + tail
+    qerr = sum(e for _, e in pieces) + 4.0 * math.ulp(tail)
     tol = 1e-8 * max(1.0, abs(reference))
     _certify(qerr, tol, z)
     return BorelReport(

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import FrozenRecord, Record, Uncertified
-from ._quad import _half_line, quad
+from ._quad import quad
 from .exact import qho_quasi_partition_values, quasi_partition
 from .specval import NchoParams, QuadratureResult, _gauss_cube, hurwitz_zeta_num
 
@@ -601,61 +601,74 @@ def spectral_zeta_mellin(
 ) -> float:
     """zeta_H(s; tau) = (1/Gamma(s)) int_0^inf t^{s-1} Z(t) e^{-t tau} dt.
 
-    The integral is split at t = 1 with the upper half mapped to a finite
-    interval.  When a small-t model is supplied (``mellin-zeta`` passes the
-    Rabi quasi-partition series, built by ``quasi_partition``), it replaces
-    Z below ``t_cut``, which keeps spectra with finitely many computed
-    eigenvalues honest near t = 0.  The model makes the integrand jump at
-    ``t_cut``, so the half that holds the jump is integrated on each side of
-    its image separately.
+    One integrand on u in (0, 1), with t = (2u)^m up to u = 1/2
+    (m = max(2, 1/(s-1))) and t = u/(1-u) above: each node is
+    sign(Z) exp(s ln t - tau t + ln(|Z| d(ln t)/du)), so t^{s-1} and
+    e^{-tau t} are never formed alone.  Z is not called where tau t >= 745
+    (the weight has underflowed; a negative ground state would overflow Z).
+    Nodes where Z has underflowed are zero; ``Uncertified`` is raised when
+    the decay that this proves of Z does not make them negligible, as a
+    growing weight (tau < 0) may not.
+
+    When a small-t model is supplied (``mellin-zeta`` passes the Rabi
+    quasi-partition series, built by ``quasi_partition``), it replaces Z
+    below ``t_cut``, which keeps spectra with finitely many computed
+    eigenvalues honest near t = 0; the integral is split at the image of
+    ``t_cut``, where the model makes it jump, as well as at u = 1/2.
     """
     for name, value in (("s", s), ("tau", tau)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if s <= 1:
         raise NonIntegrable("need Re s > 1 for the Mellin integral")
-    jump = t_cut if small_t_model is not None else 0.0
-
-    def quad_split(f: Callable[[float], float], lo: float, cut: float) -> float:
-        edges = (lo, cut, 1.0) if lo < cut < 1.0 else (lo, 1.0)
-        pieces = zip(edges, edges[1:])
-        return sum(quad(f, a, b, epsabs=1e-10)[0] for a, b in pieces)
-
-    def zf(t: float) -> float:
-        if t < t_cut and small_t_model is not None:
-            return small_t_model(t)
-        return Z(t)
-
-    # [0, 1] with t = u^m, m = max(2, 1/(s-1)): Z(t) = O(1/t) as t -> 0 (the
-    # reason s > 1 is needed), so the integrand m u^{m-1} t^{s-1} Z(t) stays
-    # bounded at u = 0.  Below u0, where t < t0 = 1.5e-154 (far enough from
-    # the smallest double that Z(t) ~ 1/t cannot overflow), the piece is
-    # added as a rectangle: for s <= 1.5 (m = 1/(s-1)) the integrand is
-    # m t Z(t) e^{-tau t} there, constant to O(t); for s > 1.5 (m = 2) it is
-    # O(u^{2s-3}), and the whole piece is O(t0^{s-1}), below 1e-76.
+    # Z(t) = O(1/t) as t -> 0 (the reason s > 1 is needed), so the integrand
+    # stays bounded at u = 0
     m = max(2.0, 1.0 / (s - 1.0))
-    u0 = math.sqrt(sys.float_info.min) ** (1.0 / m)
+    underflows = []  # (t, log-weight) at the nodes where Z is zero
 
-    def f_low(u: float) -> float:
-        t = u**m
-        return m * u ** (m - 1.0) * t ** (s - 1.0) * zf(t) * math.exp(-tau * t)
+    def image(t: float) -> float:
+        return 0.5 * t ** (1.0 / m) if t <= 1.0 else t / (1.0 + t)
 
-    cut = jump ** (1.0 / m) if 0.0 < jump < 1.0 else 0.0
+    def f(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        if u <= 0.5:
+            t, jac = (2.0 * u) ** m, m / u
+        else:
+            t, jac = u / (1.0 - u), 1.0 / (u * (1.0 - u))
+        if tau * t >= 745.0:
+            return 0.0
+        z = small_t_model(t) if small_t_model is not None and t < t_cut else Z(t)
+        log_w = s * math.log(t) - tau * t + math.log(jac)
+        if z == 0.0:
+            underflows.append((t, log_w))
+            return 0.0
+        return math.copysign(math.exp(log_w + math.log(abs(z))), z)
 
-    # [1, inf) with t = 1 + u/(1-u); Z is never called where the weight
-    # e^{-tau t} has underflowed to zero (shifted spectra may have a negative
-    # ground state, and exp(-lam*t) would overflow at the far end of the
-    # mapped interval)
-    f_high = _half_line(lambda t: t ** (s - 1.0) * zf(t), tau)
+    # below u0, the image of t0 = 1.5e-154 (far enough from the smallest
+    # double that Z(t) ~ 1/t cannot overflow), the piece is a rectangle: for
+    # s <= 1.5 (m = 1/(s-1)) the integrand is 2 m t Z(t) e^{-tau t}, constant
+    # to O(t); for s > 1.5 the whole piece is O(t0^{s-1}), below 1e-76
+    t0 = math.sqrt(sys.float_info.min)
+    u0 = image(t0)
+    cut = image(t_cut) if small_t_model is not None and t_cut > t0 else 0.5
+    edges = sorted({u0, cut, 0.5, 1.0})
     try:
-        low = u0 * f_low(u0) + quad_split(f_low, u0, cut)
-        high = quad_split(f_high, 0.0, 1.0 - 1.0 / jump if jump > 1.0 else 0.0)
+        total = u0 * f(u0) + sum(quad(f, a, b, epsabs=1e-10)[0] for a, b in zip(edges, edges[1:]))
         gamma = math.gamma(s)
     except OverflowError:
         raise OverflowError(f"the Mellin integral overflows at s = {s}, tau = {tau}") from None
-    if not (math.isfinite(low) and math.isfinite(high)):
+    if not math.isfinite(total):
         raise NonIntegrable("Mellin integral did not converge")
-    return (low + high) / gamma
+    if underflows:
+        # Z, a sum of e^{-lambda t}, is below e^{-744.4} at the first zero
+        # node t_u, so lambda_0 > 744.4/t_u and Z(t) < e^{-744.4 t/t_u} past
+        # it; each zero node must stay below 1e-17 of the total under that
+        t_u = min(t for t, _ in underflows)
+        worst = max(log_w - 744.4 * t / t_u for t, log_w in underflows)
+        if total == 0.0 or worst > math.log(abs(total)) - 39.0:
+            raise Uncertified(f"Z underflows where the Mellin weight does not, at s = {s}, tau = {tau}")
+    return total / gamma
 
 
 def _check_shift(spec: SpectrumResult, tau: float) -> None:

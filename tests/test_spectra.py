@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eig_banded, eigh
 
-from zetaforge import _eig, spectra, specval
+from zetaforge import Uncertified, _eig, spectra, specval
 from zetaforge.exact import bernoulli_poly
 from zetaforge.spectra import (
     IllConditioned,
@@ -709,6 +709,38 @@ class TestMellinZeta:
         val = spectral_zeta_mellin(qho_partition, s, tau)
         exact = float(specval.hurwitz_zeta_num(s, 0.5 + tau))
         assert abs(val - exact) <= 1e-10 * exact
+
+    def test_qho_closed_forms_on_a_grid(self):
+        # sum_n (n + 1/2 + tau)^{-s}; at s = 60, tau = 40 the integral is
+        # 1e-16, below the absolute tolerance, and the map of [1, inf) by
+        # t = 1 + u/(1-u) read 4.8e-7 off
+        for s in (1.02, 1.1, 1.5, 2, 3, 6, 20, 60):
+            for tau in (0, 0.05, 0.5, 2, 10, 40):
+                val = spectral_zeta_mellin(qho_partition, s, tau)
+                exact = specval.hurwitz_zeta_num(s, 0.5 + tau)
+                assert abs(val - exact) <= 1e-10 * exact, (s, tau)
+
+    def test_Z_is_not_called_where_the_weight_underflows(self):
+        # a negative ground state: Z = e^{3t/2} overflows past t = 473, and
+        # e^{-2t} underflows past t = 372.5, where Z must not be called
+        tau = 2.0
+
+        def Z(t):
+            assert tau * t < 745.0, t
+            return math.exp(1.5 * t)
+
+        assert abs(spectral_zeta_mellin(Z, 2.0, tau) - 4.0) <= 1e-12 * 4.0
+
+    def test_growing_weight_from_the_api(self):
+        # tau < 0: e^{-tau t} overflowed where Z had underflowed, raising
+        # OverflowError; the underflow of Z bounds the nodes it zeroes
+        val = spectral_zeta_mellin(qho_partition, 2.0, -0.1)
+        exact = specval.hurwitz_zeta_num(2.0, 0.4)
+        assert abs(val - exact) <= 1e-12 * exact
+        # at a decay rate of 0.01 the part past Z's underflow (t ~ 1490)
+        # is 5e-6 of the value, and no bound can drop it
+        with pytest.raises(Uncertified, match="s = 2.0, tau = -0.49"):
+            spectral_zeta_mellin(qho_partition, 2.0, -0.49)
 
     def test_qrm_vs_direct(self):
         q = QrmParams(0.3, 0.5)
