@@ -4,7 +4,8 @@ reproducible batch job.
 Exit codes: 0 all checks passed / value computed, 1 a verification reported
 a mismatch, 2 usage or input error, 3 a computation did not reach its
 certified accuracy.  Output formats: json (sorted keys), csv (flat rows,
-such as traces; a nested value exits 2), plain.  Handlers return result
+such as traces; a nested value exits 2), plain; a NaN or infinite number
+exits 2 in every format.  Handlers return result
 records, and ``_jsonify`` is the one serializer: a record is written as all
 of its fields, so each op has one key set whatever the input, and every
 rational is a "num/den" string ("2" when integral).  With a fixed --seed,
@@ -63,19 +64,22 @@ _BUDGETS = {
 _CUBE_TOL = 1e-6
 
 
-def _jsonify(obj):
+def _jsonify(obj, field=None):
     """Recursive canonicalization: Fractions to 'num/den' strings ('n' when
     integral), records (``zetaforge.Record``) to the dict of all their
-    fields, in their order."""
+    fields, in their order.  A NaN or infinite float is refused with a
+    ValueError naming its field, since JSON has no such number."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"field {field!r} is {obj}, which is not a finite number")
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: _jsonify(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, field) for v in obj]
     if isinstance(obj, Record):
         # a record's __slots__ names its fields in order
-        return {k: _jsonify(getattr(obj, k)) for k in obj.__slots__}
+        return {k: _jsonify(getattr(obj, k), k) for k in obj.__slots__}
     return obj
 
 
@@ -602,7 +606,7 @@ def _cmd_verify_all(args):
     target = sorted([n + s * 0.5 for n in range(7) for s in (-1, 1)])[:10]
     ok = max(abs(a - b) for a, b in zip(qd.eigenvalues, target)) < 1e-9
     ok = ok and within_radii(qd, target)
-    res = spectra.qrm_partition_series(spectra.QrmParams(0.3, 0.0), 1.0, lam_max=2)
+    res = spectra.qrm_partition_series(spectra.QrmParams(0.3, 0.0), 1.0)
     spec_d0 = spectra.qrm_eigs(spectra.QrmParams(0.3, 0.0), N=cfg["qrm_N"], count=40)
     z_d0, _ = spectra.partition_from_spectrum(spec_d0, 1.0, tail="QHO_BOUND")
     ok = ok and abs(res.value - z_d0) < 1e-8

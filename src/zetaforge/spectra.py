@@ -359,7 +359,9 @@ def _pair_bounds(model: str, params, j):
         f = math.sqrt(1.0 - 1.0 / (params.alpha * params.beta))
         lo, hi = min(params.alpha, params.beta) * f, max(params.alpha, params.beta) * f
         return (lo * (j + 0.5), lo), (hi * (j + 0.5), hi)
-    g2, d = params.g ** 2, params.delta + abs(params.eps)
+    g2, d = params.g * params.g, params.delta + abs(params.eps)
+    if math.isinf(g2):
+        raise OverflowError(f"g = {params.g} is too large: g^2 overflows a double")
     return (j - g2 - d, 1.0), (j - g2 + d, 1.0)
 
 
@@ -452,6 +454,7 @@ def partition_callable(spec: SpectrumResult) -> Callable[[float], float]:
 # ---------------------------------------------------------------------------
 # nested-integral partition series for the Rabi model
 # ---------------------------------------------------------------------------
+_SHELL_NODES = 2**20  # the ceiling of each shell's tensor Gauss rule
 
 
 def _qrm_shell_exponent(mu: np.ndarray, t: float, g: float) -> np.ndarray:
@@ -489,53 +492,53 @@ def _qrm_shell_exponent(mu: np.ndarray, t: float, g: float) -> np.ndarray:
     return main + xi + psi
 
 
-def qrm_partition_series(
-    params: QrmParams,
-    t: float,
-    lam_max: int = 2,
-    budget: int = 10**6,
-) -> QuadratureResult:
-    """Partition function from the nested-integral series truncated at shell
-    lam_max:
+def qrm_partition_series(params: QrmParams, t: float) -> QuadratureResult:
+    """Partition function from the nested-integral series through its two
+    shells l = 1, 2:
 
     Z(t) = 2 e^{t g^2} / (1 - e^{-t}) [ 1 + e^{-2 g^2 coth(t/2)}
-           sum_{l=1}^{lam_max} (t Delta)^{2l} I_{2l}(t) ],
+           sum_{l=1}^{2} (t Delta)^{2l} I_{2l}(t) ],
 
     with I_d the integral over the ordered simplex 0 <= mu_1 <= ... <= mu_d
     <= 1 (the trace normalization 2 comes from the two-level structure).
-    Each I_d is integrated over the cube [0,1]^d by the tensor Gauss rule
-    through mu_j = prod_{i>=j} w_i, which is ascending and has Jacobian
-    prod_i w_i^{i-1}.  The node budget is split across the shells in
-    proportion to (t Delta)^{2l}, and their weighted n-versus-n/2 estimates
-    add linearly.
+    Each I_d is integrated over the cube [0,1]^d by ``_gauss_cube``, which
+    sizes its own node count up to ``_SHELL_NODES``, through mu_j =
+    prod_{i>=j} w_i, which is ascending and has Jacobian prod_i w_i^{i-1};
+    the shells' weighted n-versus-n/2 estimates add linearly.  The damping
+    factor enters each node's exponent, so that no node overflows where the
+    damped integrand is a double.  Raises OverflowError naming t and g where
+    the prefactor or a node still leaves the doubles.
     """
     if params.eps != 0.0:
         raise ValueError("nested-integral series implemented for zero bias")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if lam_max not in (0, 1, 2):
-        raise ValueError("lam_max must be 0, 1 or 2")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
     g, delta = params.g, params.delta
-    pref = 2.0 * math.exp(t * g * g) / -math.expm1(-t)
-    if lam_max == 0 or delta == 0.0:
-        return QuadratureResult(pref, 0.0, 0, "TENSOR_GAUSS")
-
     from ._np import np
 
     def f(w: np.ndarray) -> np.ndarray:
         mu = np.cumprod(w[:, ::-1], axis=1)[:, ::-1]
-        return np.prod(w ** np.arange(w.shape[1]), axis=1) * np.exp(_qrm_shell_exponent(mu, t, g))
+        return np.prod(w ** np.arange(w.shape[1]), axis=1) * np.exp(_qrm_shell_exponent(mu, t, g) - damp)
 
-    damp = math.exp(-2.0 * g * g / math.tanh(0.5 * t))
-    weights = [(t * delta) ** (2 * l) for l in range(1, lam_max + 1)]
-    wsum = sum(weights)
-    total, err, nodes = 1.0, 0.0, 0
-    for l, weight in enumerate(weights, start=1):
-        res = _gauss_cube(f, 2 * l, max(1000, int(budget * weight / wsum)))
-        total += weight * damp * res.value
-        err += weight * damp * res.std_error
-        nodes += res.samples_or_nodes
-    return QuadratureResult(pref * total, pref * err, nodes, "TENSOR_GAUSS")
+    overflow = f"the Rabi partition series leaves the doubles at t = {t}, g = {g}"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pref = 2.0 * math.exp(t * g * g) / -math.expm1(-t)
+            damp = 2.0 * g * g / math.tanh(0.5 * t)  # -log of the damping factor
+            total, err, nodes = 1.0, 0.0, 0
+            if delta != 0.0:
+                for l in (1, 2):
+                    res = _gauss_cube(f, 2 * l, _SHELL_NODES)
+                    weight = (t * delta) ** (2 * l)
+                    total += weight * res.value
+                    err += weight * res.std_error
+                    nodes += res.samples_or_nodes
+    except ArithmeticError as exc:
+        raise OverflowError(overflow) from exc
+    value, err = pref * total, pref * err
+    if not math.isfinite(value + err):
+        raise OverflowError(overflow)
+    return QuadratureResult(value, err, nodes, "TENSOR_GAUSS")
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,8 @@ def hyp2f1_quarter(x: float) -> float:
     at most 0.29, about squares with each step: four reach rounding for
     every x, and a fifth leaves a margin.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x > 0:
         raise SeriesRegimeViolated("argument must be non-positive")
     R = math.sqrt(1.0 - x)
@@ -291,20 +293,28 @@ def _check_method(method: str) -> None:
 
 
 def _gauss_cube(f, dim: int, budget: int) -> QuadratureResult:
-    """int over [0,1]^dim of f by the tensor Gauss rule at n and n // 2 nodes
-    per axis, n^dim about ``budget`` and n >= 4: I_n with the error estimate
-    |I_n - I_{n//2}|, never less than the rounding floor N eps |I_n| of a sum
-    of N = n^dim terms; ``samples_or_nodes`` counts the nodes of both rules.
+    """int over [0,1]^dim of f by the tensor Gauss rule on n_cap =
+    max(4, round(budget^(1/dim))) nodes per axis and its halvings, run from
+    the smallest: it stops at the first n whose I_n is within the rounding
+    floor N eps |I_n| (N = n^dim) of I_{n//2}, else at n_cap, and returns I_n
+    with the estimate |I_n - I_{n//2}|, never below that floor;
+    ``samples_or_nodes`` counts the nodes of every level run.
     """
     from . import _mc
 
     if budget < 1:
         raise ValueError("samples must be at least 1")
-    n_axis = max(4, int(round(budget ** (1.0 / dim))))
-    val, nodes = _mc.tensor_gauss(f, dim, n_axis)
-    coarse, coarse_nodes = _mc.tensor_gauss(f, dim, n_axis // 2)
-    err = max(abs(val - coarse), nodes * _EPS * abs(val))
-    return QuadratureResult(val, err, nodes + coarse_nodes, "TENSOR_GAUSS")
+    n_cap = max(4, int(round(budget ** (1.0 / dim))))
+    coarse, total = math.inf, 0
+    for n in reversed([n_cap >> k for k in range(n_cap.bit_length() - 1)]):
+        val, nodes = _mc.tensor_gauss(f, dim, n)
+        total += nodes
+        floor = nodes * _EPS * abs(val)
+        err = max(abs(val - coarse), floor)
+        if err == floor:
+            break
+        coarse = val
+    return QuadratureResult(val, err, total, "TENSOR_GAUSS")
 
 
 def _cube_quadrature(
@@ -468,8 +478,8 @@ def r42_series(t: float) -> float:
 
 
 def r42_order_of_contact(kappas: Sequence[float], budget: int = 10**6) -> list:
-    """R_{4,2}(kappa) - r42_series(kappa^2) by the tensor Gauss rule on
-    about ``budget`` nodes per kappa.
+    """R_{4,2}(kappa) - r42_series(kappa^2) by the tensor Gauss rule
+    (``_gauss_cube``, with a ceiling of about ``budget`` nodes) per kappa.
 
     The kappa = 0 baseline integrates to pi^4/6 exactly, so only the
     difference integrand, which is O(kappa^2) pointwise, is integrated; this

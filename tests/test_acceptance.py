@@ -205,7 +205,7 @@ def test_criterion_08_quasi_partition(qrm_spectrum_big):
 
 def test_criterion_09_qrm_partition_triangle():
     q = spectra.QrmParams(0.3, 0.5)
-    res = spectra.qrm_partition_series(q, 1.0, lam_max=2, budget=10**6)
+    res = spectra.qrm_partition_series(q, 1.0)
     spec = spectra.qrm_eigs(q, N=512, count=60, threshold=1e-9)
     z, h = spectra.partition_from_spectrum(spec, 1.0, tail="QHO_BOUND")
     diff = abs(res.value - z)
@@ -213,7 +213,7 @@ def test_criterion_09_qrm_partition_triangle():
 
     # exactly solvable routes
     qd = spectra.QrmParams(0.3, 0.0)
-    rd = spectra.qrm_partition_series(qd, 1.0, lam_max=2, budget=1000)
+    rd = spectra.qrm_partition_series(qd, 1.0)
     sd = spectra.qrm_eigs(qd, N=512, count=60, threshold=1e-9)
     zd, _ = spectra.partition_from_spectrum(sd, 1.0, tail="QHO_BOUND")
     ok = ok and abs(rd.value - zd) < 1e-8

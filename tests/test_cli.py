@@ -473,6 +473,12 @@ class TestExitCodes:
              "s must be finite, got nan"),
             (["mellin-zeta", "--model", "qho", "--s", "inf", "--tau", "1"],
              "s must be finite, got inf"),
+            # Z(1e-310) ~ 1/t is past the largest double: these printed
+            # "value": Infinity and a NaN error, which are not JSON, and exited 0
+            (["quasi-partition", "--t", "1e-310", "--K", "3"], "field 'value'"),
+            (["partition", "--model", "qho", "--t", "1e-310", "--count", "10"], "field 'value'"),
+            # g^2 overflows: reported "(34, 'Numerical result out of range')"
+            (["qrm-spectrum", "--g", "1e200", "--delta", "0.5"], "g = 1e+200"),
         ],
         ids=[
             "qseries-bound-0", "partition-ncho-no-params", "zetaQ-no-beta", "padic-even-p",
@@ -487,7 +493,8 @@ class TestExitCodes:
             "bernoulli-poly-x-zero-den", "divergence-tau-zero-den", "divergence-tau-zero",
             "padic-tau-zero-den", "mellin-qrm-tau-below", "mellin-qrm-tau-below-real-s",
             "mellin-qho-tau-below", "mellin-qho-tau-at", "mellin-qho-tau-nan",
-            "mellin-qho-s-nan", "mellin-qho-s-inf",
+            "mellin-qho-s-nan", "mellin-qho-s-inf", "quasi-partition-t-tiny",
+            "partition-qho-t-tiny", "qrm-g-overflow",
         ],
     )
     def test_malformed_input_is_a_typed_error(self, argv, named, capsys):

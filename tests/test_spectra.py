@@ -603,14 +603,14 @@ def _sorted_sample_series(q, t, lam_max, samples, seed):
 class TestQrmPartitionSeries:
     def test_delta_zero_exact(self):
         q = QrmParams(0.3, 0.0)
-        res = qrm_partition_series(q, 1.0, lam_max=2, budget=1000)
+        res = qrm_partition_series(q, 1.0)
         spec = qrm_eigs(q, N=256, count=40, threshold=1e-9)
         z, _ = partition_from_spectrum(spec, 1.0, tail="QHO_BOUND")
         assert abs(res.value - z) < 1e-8
 
     def test_g_zero_closed_form(self):
         q = QrmParams(0.0, 0.5)
-        res = qrm_partition_series(q, 1.0, lam_max=2, budget=1000)
+        res = qrm_partition_series(q, 1.0)
         closed = 2 * math.cosh(0.5) / -math.expm1(-1.0)
         # truncation error is the (t Delta)^6/6! shell
         assert abs(res.value - closed) < 2 * (0.5**6) / 720 * closed
@@ -620,7 +620,7 @@ class TestQrmPartitionSeries:
 
     def test_against_spectral_oracle(self):
         q = QrmParams(0.3, 0.5)
-        res = qrm_partition_series(q, 1.0, lam_max=2, budget=400_000)
+        res = qrm_partition_series(q, 1.0)
         spec = qrm_eigs(q, N=256, count=60, threshold=1e-9)
         z, h = partition_from_spectrum(spec, 1.0, tail="QHO_BOUND")
         assert abs(res.value - z) <= max(1e-3, 3 * res.std_error + h)
@@ -628,7 +628,7 @@ class TestQrmPartitionSeries:
     @pytest.mark.parametrize("g, delta", [(0.3, 0.5), (1.0, 1.0)])
     def test_against_sorted_sample_monte_carlo(self, g, delta):
         q = QrmParams(g, delta)
-        res = qrm_partition_series(q, 1.0, lam_max=2)
+        res = qrm_partition_series(q, 1.0)
         assert res.method == "TENSOR_GAUSS"
         mc, sigma = _sorted_sample_series(q, 1.0, 2, 200_000, seed=11)
         assert abs(res.value - mc) <= 5 * sigma + res.std_error
@@ -637,14 +637,46 @@ class TestQrmPartitionSeries:
         # g = 0.3, Delta = 1, t = 1: the Monte Carlo series sat 149 sigma from
         # the spectral Z = 5.2331260; the rule resolves the two shells to
         # 1e-9, so the whole gap is the truncated shells l >= 3
-        res = qrm_partition_series(QrmParams(0.3, 1.0), 1.0, lam_max=2)
+        res = qrm_partition_series(QrmParams(0.3, 1.0), 1.0)
         assert abs(res.value - 5.228590957) <= 1e-9
         assert res.std_error <= 1e-9
 
+    def test_found_case_resolved_past_the_old_floor(self):
+        # the old proportional split spent about 10^6 nodes on the d = 2
+        # shell, whose estimate then sat at that count's rounding floor, 2e-10
+        res = qrm_partition_series(QrmParams(0.3, 1.0), 1.0)
+        assert res.std_error <= 1e-11
+
+    def test_g_zero_stops_at_four_nodes_per_axis(self):
+        # at g = 0 each shell integrates the Jacobian, a polynomial that the
+        # 2-node rule already integrates exactly, so each stops at n = 4:
+        # 2^2 + 4^2 nodes for d = 2 and 2^4 + 4^4 for d = 4
+        res = qrm_partition_series(QrmParams(0.0, 0.5), 1.0)
+        assert res.samples_or_nodes == 292
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_t_must_be_finite_and_positive(self, t):
+        # a non-finite t raised "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            qrm_partition_series(QrmParams(0.3, 0.5), t)
+
+    def test_tiny_t_is_the_prefactor(self):
+        # raised a bare ZeroDivisionError; the shells' weights (t Delta)^{2l}
+        # vanish, so Z is 2 e^{t g^2} / (1 - e^{-t}) = 2/t to rounding
+        res = qrm_partition_series(QrmParams(0.3, 0.5), 1e-300)
+        assert res.value == pytest.approx(2e300, rel=1e-15)
+
+    @pytest.mark.parametrize("g, t", [(0.3, 800.0), (30.0, 1.0)], ids=["t-800", "g-30"])
+    def test_overflow_names_t_and_g(self, g, t):
+        # both reported a bare "math range error": sinh(800) and the
+        # prefactor e^{900} overflow
+        with pytest.raises(OverflowError, match=f"t = {t}, g = {g}"):
+            qrm_partition_series(QrmParams(g, 0.5), t)
+
     def test_deterministic(self):
         q = QrmParams(0.3, 0.5)
-        a = qrm_partition_series(q, 1.0, lam_max=1, budget=20_000)
-        b = qrm_partition_series(q, 1.0, lam_max=1, budget=20_000)
+        a = qrm_partition_series(q, 1.0)
+        b = qrm_partition_series(q, 1.0)
         assert a.value == b.value
 
 

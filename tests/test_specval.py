@@ -136,6 +136,12 @@ class TestHyp2F1Quarter:
         with pytest.raises(SeriesRegimeViolated):
             hyp2f1_quarter(0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    def test_rejects_non_finite(self, x):
+        # both passed the x > 0 guard and returned NaN
+        with pytest.raises(ValueError, match="x must be finite"):
+            hyp2f1_quarter(x)
+
 
 class TestRk1Series:
     def test_kappa_zero_reduces_to_half_zeta(self):
@@ -221,10 +227,16 @@ class TestRkjQuadrature:
         assert 0 < g.std_error < 1e-5 and abs(g.value - s) <= g.std_error
         assert abs(g.value - m.value) < max(4 * m.std_error, 0.02)
 
-    def test_tensor_gauss_counts_both_rules(self):
-        # budget 10^4 gives 100 nodes per axis in 2-D and 10 in 4-D
-        assert r_kj_quadrature(2, 1, 0.5, method="TENSOR_GAUSS", budget=10_000).samples_or_nodes == 100**2 + 50**2
-        assert appendixB_integral("A", 1, 0, budget=10_000, method="TENSOR_GAUSS").samples_or_nodes == 10**4 + 5**4
+    def test_tensor_gauss_counts_every_level(self):
+        # budget 10^4 is a ceiling of 100 nodes per axis in 2-D and 10 in
+        # 4-D; neither integrand reaches its rounding floor below it, so
+        # every halving down to 2 or 3 nodes per axis runs
+        assert r_kj_quadrature(2, 1, 0.5, method="TENSOR_GAUSS", budget=10_000).samples_or_nodes == sum(
+            n**2 for n in (100, 50, 25, 12, 6, 3)
+        )
+        assert appendixB_integral("A", 1, 0, budget=10_000, method="TENSOR_GAUSS").samples_or_nodes == sum(
+            n**4 for n in (10, 5, 2)
+        )
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedIndexPair):
